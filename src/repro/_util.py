@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "as_rng",
     "check_elapsed",
+    "check_finite",
     "check_positive",
     "check_fraction",
     "check_in",
@@ -55,6 +56,18 @@ def check_elapsed(name: str, value: float) -> float:
             f"got {value!r}"
         )
     return value
+
+
+def check_finite(name: str, array: np.ndarray) -> np.ndarray:
+    """Raise ``ValueError`` unless every entry of ``array`` is finite.
+
+    Entry points that bill converter work validate through this helper
+    before touching any counter: one NaN or inf would otherwise poison
+    the whole peak-normalized read and still be billed.
+    """
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite (no NaN or inf entries)")
+    return array
 
 
 def check_positive(name: str, value: float) -> float:

@@ -89,12 +89,13 @@ class CrossbarArray:
         self._stuck_mask = np.zeros(self._g_programmed.shape, dtype=bool)
         self._stuck_values = np.zeros(self._g_programmed.shape)
         self.age_seconds = 0.0
-        # Batched reads recompute nothing per call: the drifted (and
-        # IR-scaled) conductance and its elementwise square are cached
-        # until the device state changes (see _invalidate_read_cache).
-        # The cached matrices are deterministic functions of the state,
-        # so cached and uncached reads are bitwise identical.
-        self._read_cache: dict[int, list[np.ndarray | None]] = {}
+        # Batched reads recompute nothing per call: the mean and noise
+        # power matrices are cached until the device state changes (see
+        # _read_entry).  A differential entry lives in the G+ array's
+        # cache; the G- array remembers its readers in _pair_readers so
+        # its own state changes drop that entry too.
+        self._read_cache: dict[tuple, tuple] = {}
+        self._pair_readers: set[CrossbarArray] = set()
         self.n_row_reads = 0
         self.n_col_reads = 0
         # Maintenance counters: reprogramming sessions after deployment.
@@ -129,8 +130,13 @@ class CrossbarArray:
         return self.g_effective
 
     def _invalidate_read_cache(self) -> None:
-        """Drop cached read matrices after any device-state change."""
+        """Drop cached read matrices after any device-state change,
+        including differential entries other arrays built from this
+        one's state."""
         self._read_cache.clear()
+        for reader in self._pair_readers:
+            reader._read_cache.clear()
+        self._pair_readers.clear()
 
     @property
     def g_target(self) -> np.ndarray:
@@ -239,27 +245,56 @@ class CrossbarArray:
     def _instantaneous_conductance(self) -> np.ndarray:
         return self.device.read(self.conductance, seed=self._rng)
 
-    def _read_entry(self, axis: int) -> list:
-        """Cached ``[g_now, g_now**2]`` for batched reads along ``axis``.
+    def _conductance_now(self, axis: int) -> np.ndarray:
+        """Mean conductance a batched read along ``axis`` sees: the
+        drifted state with IR-drop factors applied.  Always a fresh
+        array (``PcmDevice.drifted`` returns a copy), so callers may
+        overwrite it."""
+        g_now = self.device.drifted(self._g_programmed, self.age_seconds)
+        if self.wire_resistance > 0.0:
+            g_now = g_now * ir_drop_factors(g_now, self.wire_resistance, axis=axis)
+        return g_now
 
-        ``g_now`` is the drifted conductance with IR-drop factors
-        applied (the mean matrix of the output-referred noise model);
-        the square is filled in lazily by the first noisy read.  Without
-        IR drop the matrix is axis-independent, so both directions share
-        one entry.  Entries live until :meth:`_invalidate_read_cache`
-        (drift, reprogramming, fault injection).
+    def _read_entry(self, axis: int, minus: CrossbarArray | None) -> tuple:
+        """Cached ``(mean, power)`` matrices for batched reads along ``axis``.
+
+        For a single array ``mean`` is the conductance ``G`` a read sees
+        (:meth:`_conductance_now`) and ``power`` is ``G**2``; for a
+        differential read against ``minus`` they are ``G+ - G-`` and
+        ``G+**2 + G-**2``.  ``power`` is only built for noisy devices
+        (``None`` otherwise).  Without IR drop the matrices are
+        axis-independent, so both directions share one entry.  Entries
+        live until either array's :meth:`_invalidate_read_cache` (drift,
+        reprogramming, fault injection); cached and uncached reads are
+        bitwise identical.
         """
-        key = axis if self.wire_resistance > 0.0 else -1
+        shared = self.wire_resistance == 0.0 and (
+            minus is None or minus.wire_resistance == 0.0
+        )
+        key = (-1 if shared else axis, minus)
         entry = self._read_cache.get(key)
-        if entry is None:
-            g_now = self.device.drifted(self._g_programmed, self.age_seconds)
-            if self.wire_resistance > 0.0:
-                g_now = g_now * ir_drop_factors(g_now, self.wire_resistance, axis=axis)
-            entry = [g_now, None]
-            self._read_cache[key] = entry
+        if entry is not None:
+            return entry
+        noisy = self.device.read_noise_sigma != 0.0
+        g_now = self._conductance_now(axis)
+        if minus is None:
+            entry = (g_now, g_now * g_now if noisy else None)
+        else:
+            g_minus = minus._conductance_now(axis)
+            mean = g_now - g_minus
+            power = None
+            if noisy:
+                # both operands are fresh arrays owned by this entry
+                power = np.square(g_now, out=g_now)
+                power += np.square(g_minus, out=g_minus)
+            entry = (mean, power)
+            minus._pair_readers.add(self)
+        self._read_cache[key] = entry
         return entry
 
-    def _batched_currents(self, voltages: np.ndarray, axis: int) -> np.ndarray:
+    def _batched_currents(
+        self, voltages: np.ndarray, axis: int, minus: CrossbarArray | None
+    ) -> np.ndarray:
         """Currents for a 2-D voltage block (one read event per column).
 
         Each block column is a separate temporal read, so each sees its
@@ -269,49 +304,94 @@ class CrossbarArray:
         ``I = sum_k V_k G_k (1 + eps_k)`` is exactly
         ``N(sum_k V_k G_k, sigma^2 * sum_k (V_k G_k)^2)``, so sampling
         the sum directly is distribution-equivalent while drawing one
-        normal per output line instead of one per device.  Two
-        first-order approximations against the per-vector path: the
+        normal per output line instead of one per device.
+
+        A differential read (``minus`` given) senses ``I+ - I-`` as one
+        current per line, as the pair's subtraction circuit does.  The
+        two arrays' fluctuations are independent, so the difference is
+        again Gaussian: ``N((G+ - G-)^T V, sigma^2 (G+**2 + G-**2)^T V**2)``
+        — exactly the distribution of reading both arrays and
+        subtracting, from one mean GEMM, one power GEMM and one normal
+        draw instead of two of each.  A single-array read is the same
+        code with ``(G, G**2)``.
+
+        Two first-order approximations against the per-vector path: the
         clip of negative conductances is ignored (~1/sigma standard
         deviations away — negligible at realistic noise levels), and
         with ``wire_resistance > 0`` the IR-drop factors are computed
         on the mean (noise-free) conductance rather than each read's
         noisy realization, so noise does not perturb the drop factors.
-        """
-        entry = self._read_entry(axis)
-        g_now = entry[0]
-        sigma = self.device.read_noise_sigma
-        if axis == 0:
-            mean = g_now.T @ voltages
-        else:
-            mean = g_now @ voltages
-        if sigma == 0.0:
-            return mean
-        g_sq = entry[1]
-        if g_sq is None:
-            g_sq = g_now**2
-            entry[1] = g_sq
-        chunk = self.noise_chunk
-        if chunk is None or voltages.shape[1] <= chunk:
-            if axis == 0:
-                power = g_sq.T @ voltages**2
-            else:
-                power = g_sq @ voltages**2
-            return mean + sigma * np.sqrt(power) * self._rng.standard_normal(
-                mean.shape
-            )
-        # Column-chunked mode: identical distribution (each column's
-        # noise power and draw are unchanged), but the (lines, B)
-        # noise-power and normal blocks never exist all at once — only
-        # a (lines, chunk) slice is live besides the output itself.
-        for start in range(0, voltages.shape[1], chunk):
-            v_sq = voltages[:, start : start + chunk] ** 2
-            power = g_sq.T @ v_sq if axis == 0 else g_sq @ v_sq
-            mean[:, start : start + chunk] += (
-                sigma * np.sqrt(power) * self._rng.standard_normal(power.shape)
-            )
-        return mean
 
-    def mvm(self, row_voltages: np.ndarray) -> np.ndarray:
+        With ``noise_chunk`` set, the noise is drawn ``noise_chunk``
+        batch columns at a time: each column's noise power and draw are
+        unchanged, but the ``(lines, B)`` noise-power and normal blocks
+        never exist all at once.  A chunk covering the batch is the
+        single full-block draw.
+        """
+        mean, power = self._read_entry(axis, minus)
+        currents = mean.T @ voltages if axis == 0 else mean @ voltages
+        sigma = self.device.read_noise_sigma
+        if sigma == 0.0:
+            return currents
+        width = voltages.shape[1]
+        chunk = self.noise_chunk or max(width, 1)
+        for start in range(0, width, chunk):
+            v_part = voltages[:, start : start + chunk]
+            v_sq = v_part * v_part
+            std = power.T @ v_sq if axis == 0 else power @ v_sq
+            np.sqrt(std, out=std)
+            std *= sigma
+            std *= self._rng.standard_normal(std.shape)
+            currents[:, start : start + chunk] += std
+        return currents
+
+    def _vector_currents(self, voltages: np.ndarray, axis: int) -> np.ndarray:
+        """One per-vector read with a fresh per-device noise draw."""
+        g_now = self._instantaneous_conductance()
+        if self.wire_resistance > 0.0:
+            g_now = g_now * ir_drop_factors(g_now, self.wire_resistance, axis=axis)
+        return voltages @ g_now if axis == 0 else g_now @ voltages
+
+    def _read(
+        self, voltages: np.ndarray, axis: int, minus: CrossbarArray | None
+    ) -> np.ndarray:
+        """Shared body of :meth:`mvm` (``axis=0``) and :meth:`mvm_t`."""
+        voltages = np.asarray(voltages, dtype=float)
+        lines = self.shape[axis]
+        if minus is not None:
+            if minus.shape != self.shape:
+                raise ValueError(
+                    f"minus array has shape {minus.shape}, expected {self.shape}"
+                )
+            if minus.device.read_noise_sigma != self.device.read_noise_sigma:
+                raise ValueError("a differential pair must share its read-noise sigma")
+        if voltages.ndim == 2:
+            if voltages.shape[0] != lines:
+                raise ValueError(
+                    f"voltage block must have {lines} rows, got {voltages.shape}"
+                )
+        elif voltages.shape != (lines,):
+            name = "row_voltages" if axis == 0 else "col_voltages"
+            raise ValueError(
+                f"{name} must have shape ({lines},), got {voltages.shape}"
+            )
+        reads = voltages.shape[1] if voltages.ndim == 2 else 1
+        for array in (self,) if minus is None else (self, minus):
+            if axis == 0:
+                array.n_col_reads += reads
+            else:
+                array.n_row_reads += reads
+        if voltages.ndim == 2:
+            return self._batched_currents(voltages, axis, minus)
+        # The per-vector (per-device Monte Carlo) path draws G+ then G-.
+        currents = self._vector_currents(voltages, axis)
+        if minus is not None:
+            currents = currents - minus._vector_currents(voltages, axis)
+        return currents
+
+    def mvm(
+        self, row_voltages: np.ndarray, minus: CrossbarArray | None = None
+    ) -> np.ndarray:
         """Drive rows with ``row_voltages``; return column currents.
 
         Computes ``I_j = sum_i G_ij * V_i`` with read noise and optional
@@ -319,51 +399,26 @@ class CrossbarArray:
         shape ``(rows, B)`` — one input vector per column, exploiting
         the crossbar's inherent parallelism — in which case the result
         has shape ``(cols, B)`` and ``B`` read events are counted.
-        """
-        row_voltages = np.asarray(row_voltages, dtype=float)
-        if row_voltages.ndim == 2:
-            if row_voltages.shape[0] != self.rows:
-                raise ValueError(
-                    f"voltage block must have {self.rows} rows, "
-                    f"got {row_voltages.shape}"
-                )
-            self.n_col_reads += row_voltages.shape[1]
-            return self._batched_currents(row_voltages, axis=0)
-        if row_voltages.shape != (self.rows,):
-            raise ValueError(
-                f"row_voltages must have shape ({self.rows},), got {row_voltages.shape}"
-            )
-        g_now = self._instantaneous_conductance()
-        if self.wire_resistance > 0.0:
-            g_now = g_now * ir_drop_factors(g_now, self.wire_resistance, axis=0)
-        self.n_col_reads += 1
-        return row_voltages @ g_now
 
-    def mvm_t(self, col_voltages: np.ndarray) -> np.ndarray:
+        With ``minus``, the same voltages also drive that array (the G-
+        half of a differential pair) and the result is the differential
+        current ``I(self) - I(minus)``; both arrays count the reads.  A
+        batched differential read is one fused read (see
+        :meth:`_batched_currents`); a 1-D read reads both arrays.
+        """
+        return self._read(row_voltages, 0, minus)
+
+    def mvm_t(
+        self, col_voltages: np.ndarray, minus: CrossbarArray | None = None
+    ) -> np.ndarray:
         """Drive columns with ``col_voltages``; return row currents.
 
         Computes ``I_i = sum_j G_ij * V_j`` — the transpose read used by
         AMP for ``A* z_t`` (Fig. 6).  A 2-D block of shape ``(cols, B)``
         batches ``B`` transpose reads and returns ``(rows, B)``.
+        ``minus`` reads a differential pair as in :meth:`mvm`.
         """
-        col_voltages = np.asarray(col_voltages, dtype=float)
-        if col_voltages.ndim == 2:
-            if col_voltages.shape[0] != self.cols:
-                raise ValueError(
-                    f"voltage block must have {self.cols} rows, "
-                    f"got {col_voltages.shape}"
-                )
-            self.n_row_reads += col_voltages.shape[1]
-            return self._batched_currents(col_voltages, axis=1)
-        if col_voltages.shape != (self.cols,):
-            raise ValueError(
-                f"col_voltages must have shape ({self.cols},), got {col_voltages.shape}"
-            )
-        g_now = self._instantaneous_conductance()
-        if self.wire_resistance > 0.0:
-            g_now = g_now * ir_drop_factors(g_now, self.wire_resistance, axis=1)
-        self.n_row_reads += 1
-        return g_now @ col_voltages
+        return self._read(col_voltages, 1, minus)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CrossbarArray(shape={self.shape}, age={self.age_seconds:g}s)"

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import as_rng, check_elapsed
+from repro._util import as_rng, check_elapsed, check_finite
 from repro.crossbar.array import CrossbarArray
 from repro.crossbar.coding import DifferentialCoding
 from repro.crossbar.converters import Adc, Dac
@@ -95,7 +95,13 @@ class DenseOperator:
 
 
 class _TilePair:
-    """Differential (G+, G-) crossbar pair holding one tile of A.T."""
+    """Differential (G+, G-) crossbar pair holding one tile of A.T.
+
+    Both read directions sense the pair as one differential read
+    (``positive.mvm(V, minus=negative)``): a batched read is one fused
+    read of ``G+ - G-`` with one noise draw per output line, as the
+    pair's subtraction circuit would see it (Sec. III.B.2).
+    """
 
     def __init__(
         self,
@@ -125,10 +131,10 @@ class _TilePair:
         )
 
     def column_currents(self, row_voltages: np.ndarray) -> np.ndarray:
-        return self.positive.mvm(row_voltages) - self.negative.mvm(row_voltages)
+        return self.positive.mvm(row_voltages, minus=self.negative)
 
     def row_currents(self, col_voltages: np.ndarray) -> np.ndarray:
-        return self.positive.mvm_t(col_voltages) - self.negative.mvm_t(col_voltages)
+        return self.positive.mvm_t(col_voltages, minus=self.negative)
 
     def advance_time(self, seconds: float) -> None:
         self.positive.advance_time(seconds)
@@ -611,6 +617,7 @@ class CrossbarOperator:
         m, n = self.shape
         if x.shape != (n,):
             raise ValueError(f"x must have shape ({n},), got {x.shape}")
+        check_finite("x", x)
         self.n_matvec += 1
         self._count_span_reads(x[:, None], self._row_spans, self._row_span_reads)
         normalized, peak = self._normalize(x)
@@ -632,6 +639,7 @@ class CrossbarOperator:
         m, n = self.shape
         if z.shape != (m,):
             raise ValueError(f"z must have shape ({m},), got {z.shape}")
+        check_finite("z", z)
         self.n_rmatvec += 1
         self._count_span_reads(z[:, None], self._col_spans, self._col_span_reads)
         normalized, peak = self._normalize(z)
@@ -656,12 +664,15 @@ class CrossbarOperator:
         conversion counters equal ``B`` looped ``matvec`` calls), and
         tile partial sums accumulate digitally after the ADC exactly as
         in the per-vector path.  An empty batch (``B = 0``) returns an
-        empty block, never touches the hardware, and bills nothing.
+        empty block, never touches the hardware, and bills nothing.  A
+        NaN or inf entry anywhere in the block raises ``ValueError``
+        before any counter moves (every product of this class does so).
         """
         x_block = np.asarray(x_block, dtype=float)
         m, n = self.shape
         if x_block.ndim != 2 or x_block.shape[0] != n:
             raise ValueError(f"X must have shape ({n}, B), got {x_block.shape}")
+        check_finite("X", x_block)
         self.n_matvec += x_block.shape[1]
         self._count_span_reads(x_block, self._row_spans, self._row_span_reads)
 
@@ -685,6 +696,7 @@ class CrossbarOperator:
         m, n = self.shape
         if z_block.ndim != 2 or z_block.shape[0] != m:
             raise ValueError(f"Z must have shape ({m}, B), got {z_block.shape}")
+        check_finite("Z", z_block)
         self.n_rmatvec += z_block.shape[1]
         self._count_span_reads(z_block, self._col_spans, self._col_span_reads)
 

@@ -1,5 +1,7 @@
 """End-to-end tests of ``python -m repro.results`` and report round-trips."""
 
+import shutil
+
 import pytest
 
 from repro.experiments import REGISTRY
@@ -7,13 +9,14 @@ from repro.results.cli import main
 from repro.results.store import ResultsStore, set_active_store
 
 
-@pytest.fixture()
-def populated(tmp_path):
-    """A store holding one run of every report, plus the rendered files."""
-    db = tmp_path / "results.db"
-    out = tmp_path / "out"
+@pytest.fixture(scope="session")
+def populated_template(tmp_path_factory):
+    """Build one store holding a run of every report, plus the rendered
+    files, once per session (every report takes seconds to build)."""
+    root = tmp_path_factory.mktemp("populated")
+    out = root / "out"
     out.mkdir()
-    store = ResultsStore(db)
+    store = ResultsStore(root / "results.db")
     set_active_store(store)
     try:
         for name, (_, report_fn) in REGISTRY.items():
@@ -22,7 +25,14 @@ def populated(tmp_path):
     finally:
         set_active_store(None)
         store.close()
-    return db, out
+    return root
+
+
+@pytest.fixture()
+def populated(populated_template, tmp_path):
+    """A private copy of the populated store: tests edit and rebuild files."""
+    root = shutil.copytree(populated_template, tmp_path / "populated")
+    return root / "results.db", root / "out"
 
 
 class TestRoundTrip:
