@@ -16,10 +16,16 @@ and emits ``benchmarks/results/BENCH_batch_amp.json`` for CI archival:
   the looped run's DAC/ADC conversion and live-read counters, so the
   counter-driven energy accounting cannot tell the two apart.
 
+It also records absolute throughput (logical MVMs per second, from the
+operator's counters) and ``floor_ratio``, the batched solver's time per
+MVM over a dense float64 ``A @ X`` / ``A.T @ Z`` GEMM pair of the same
+shape.  These are recorded, not gated.
+
 Run:  PYTHONPATH=src python -m pytest -q benchmarks/bench_batch_amp.py
 """
 
 import time
+import timeit
 
 import numpy as np
 
@@ -34,6 +40,11 @@ N, M, K = 256, 128, 12
 ITERATIONS = 12
 MIN_SPEEDUP = 5.0
 MAX_COLUMN_REL_ERROR = 1e-10
+
+
+def best_time_s(fn, repeats=5, number=20):
+    """Best-of-``repeats`` mean time of one ``fn()`` call."""
+    return min(timeit.repeat(fn, repeat=repeats, number=number)) / number
 
 
 def column_errors(estimates, references):
@@ -75,6 +86,14 @@ def test_batch_amp_speed_and_equivalence(write_result):
             batched_s, batched_op, batched = elapsed, fresh, result
     speedup = looped_s / batched_s
 
+    # -- absolute throughput against the dense GEMM floor ---------------
+    mvms = batched_op.stats["n_matvec"] + batched_op.stats["n_rmatvec"]
+    dense_pair_s = best_time_s(
+        lambda: (fleet.matrix @ fleet.signals, fleet.matrix.T @ fleet.measurements)
+    )
+    dense_mvms_per_s = 2 * BATCH / dense_pair_s
+    batched_mvms_per_s = mvms / batched_s
+
     # -- exact-backend column-wise equivalence --------------------------
     exact_batched = amp_recover_batch(
         fleet.measurements,
@@ -108,6 +127,9 @@ def test_batch_amp_speed_and_equivalence(write_result):
         "looped_s": looped_s,
         "batched_s": batched_s,
         "speedup": speedup,
+        "batched_mvms_per_s": batched_mvms_per_s,
+        "dense_gemm_mvms_per_s": dense_mvms_per_s,
+        "floor_ratio": dense_mvms_per_s / batched_mvms_per_s,
         "max_column_rel_error_exact": max_rel_error,
         "crossbar_nmse_mean": float(crossbar_nmse.mean()),
         "crossbar_nmse_max": float(crossbar_nmse.max()),
@@ -127,6 +149,9 @@ def test_batch_amp_speed_and_equivalence(write_result):
         f"  looped amp_recover    : {looped_s * 1e3:8.1f} ms / fleet",
         f"  amp_recover_batch     : {batched_s * 1e3:8.1f} ms / fleet",
         f"  speedup               : {speedup:8.1f}x  (required >= {MIN_SPEEDUP}x)",
+        f"  batched throughput    : {batched_mvms_per_s:8.0f} MVMs/s "
+        f"({dense_mvms_per_s / batched_mvms_per_s:.0f}x the dense GEMM floor, "
+        f"{dense_mvms_per_s:.0f} MVMs/s)",
         f"  exact column error    : {max_rel_error:8.1e}  "
         f"(required <= {MAX_COLUMN_REL_ERROR:.0e})",
         f"  crossbar NMSE mean/max: {crossbar_nmse.mean():.1e} / "

@@ -15,10 +15,16 @@ This benchmark guards three properties at once:
   computation, so each must sit equally close to the exact digital
   reference: batching may not add systematic error.
 
+It also records absolute throughput (one MVM is one sample through one
+layer) and ``floor_ratio``, the batched path's time per MVM over a
+dense float64 GEMM chain of the same shapes.  These are recorded, not
+gated.
+
 Run:  PYTHONPATH=src python -m pytest -q benchmarks/bench_batched_mvm.py
 """
 
 import time
+import timeit
 
 import numpy as np
 
@@ -29,6 +35,11 @@ from repro.ml.nn import CimNetwork, Sequential
 BATCH = 64
 MIN_SPEEDUP = 5.0
 MAX_DIVERGENCE = 0.05
+
+
+def best_time_s(fn, repeats=5, number=20):
+    """Best-of-``repeats`` mean time of one ``fn()`` call."""
+    return min(timeit.repeat(fn, repeat=repeats, number=number)) / number
 
 
 def relative_divergence(estimate, reference):
@@ -69,6 +80,18 @@ def test_batched_vs_looped_smoke(write_result):
         quiet_batched.forward_batch(inputs), quiet_reference
     )
 
+    # the dense floor: the same GEMM chain, digital and noise-free
+    weights = [layer.weights for layer in network.layers]
+
+    def dense_chain():
+        block = inputs.T
+        for w in weights:
+            block = w @ block
+        return block
+
+    dense_s = best_time_s(dense_chain)
+    mvms = BATCH * len(weights)
+
     speedup = looped_s / batched_s
     looped_error = relative_divergence(reference, digital)
     batched_error = relative_divergence(logits, digital)
@@ -79,6 +102,9 @@ def test_batched_vs_looped_smoke(write_result):
         f"  looped forward_one   : {looped_s * 1e3:8.2f} ms / batch",
         f"  forward_batch        : {batched_s * 1e3:8.2f} ms / batch",
         f"  speedup              : {speedup:8.1f}x  (required >= {MIN_SPEEDUP}x)",
+        f"  batched throughput   : {mvms / batched_s:8.0f} MVMs/s "
+        f"({batched_s / dense_s:.0f}x the dense GEMM floor, "
+        f"{mvms / dense_s:.0f} MVMs/s)",
         f"  exact-path divergence: {exact_divergence:8.2%}  (required <= {MAX_DIVERGENCE:.0%})",
         f"  looped error vs exact: {looped_error:8.2%}",
         f"  batched error vs exact: {batched_error:7.2%}  (may not exceed looped + 1%)",
@@ -91,6 +117,11 @@ def test_batched_vs_looped_smoke(write_result):
             "speedup": speedup,
             "looped_s": looped_s,
             "batched_s": batched_s,
+            "dense_gemm_s": dense_s,
+            "looped_mvms_per_s": mvms / looped_s,
+            "batched_mvms_per_s": mvms / batched_s,
+            "dense_gemm_mvms_per_s": mvms / dense_s,
+            "floor_ratio": batched_s / dense_s,
             "exact_divergence": exact_divergence,
             "looped_error": looped_error,
             "batched_error": batched_error,

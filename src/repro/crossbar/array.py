@@ -133,6 +133,8 @@ class CrossbarArray:
         """Drop cached read matrices after any device-state change,
         including differential entries other arrays built from this
         one's state."""
+        if not self._read_cache and not self._pair_readers:
+            return  # nothing cached since the last change
         self._read_cache.clear()
         for reader in self._pair_readers:
             reader._read_cache.clear()

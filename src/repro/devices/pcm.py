@@ -10,13 +10,17 @@ matter for those applications:
 * **read noise** — every read sees instantaneous (1/f-like) conductance
   fluctuations;
 * **conductance drift** — amorphous-phase structural relaxation decays
-  the conductance as ``g(t) = g(t0) * (t / t0) ** (-nu)``.
+  the conductance as ``g(t) = g(t0) * (t / t0) ** (-nu)``.  The model
+  evaluates this same power law in log space,
+  ``exp(-nu * log(t / t0))``: one scalar ``log`` per call and one
+  elementwise ``exp`` per device instead of a per-device ``pow``.
 
 All methods are vectorized over numpy arrays of device states.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,23 +122,39 @@ class PcmDevice:
         accumulate without materializing the drifted conductances
         (see :class:`~repro.crossbar.lifetime.DriftPredictor`, which
         inverts this law to schedule recalibration).
+
+        The law is evaluated in log space as
+        ``exp(-nu(g) * log((t0 + t) / t0))``: the time factor's ``log``
+        is one Python scalar, so each device costs one ``exp`` instead
+        of a ``pow`` with its own exponent (within ~1 ulp of the power
+        form).  ``g_max`` is an exact fixed point (``exp(-0.0) == 1``)
+        and every factor lies in ``(0, 1]``.  Always returns a fresh
+        array.
         """
         conductance = np.asarray(conductance, dtype=float)
         if not np.isfinite(elapsed) or elapsed < 0:
             raise ValueError("elapsed time must be finite and non-negative")
         if self.drift_nu == 0.0 or elapsed == 0.0:
             return np.ones_like(conductance)
-        time_factor = (self.drift_t0 + elapsed) / self.drift_t0
-        amorphous_fraction = 1.0 - (conductance - self.g_min) / self.dynamic_range
-        nu = self.drift_nu * np.clip(amorphous_fraction, 0.0, 1.0)
-        return time_factor ** (-nu)
+        log_time_factor = math.log((self.drift_t0 + elapsed) / self.drift_t0)
+        # in-place ufuncs on one fresh buffer: amorphous fraction of each
+        # state, clipped to [0, 1], times -drift_nu * log(time factor)
+        factors = np.empty_like(conductance)
+        np.subtract(conductance, self.g_min, out=factors)
+        factors /= self.dynamic_range
+        np.subtract(1.0, factors, out=factors)
+        np.clip(factors, 0.0, 1.0, out=factors)
+        factors *= -self.drift_nu * log_time_factor
+        return np.exp(factors, out=factors)
 
     def drifted(self, conductance: np.ndarray, elapsed: float) -> np.ndarray:
         """Conductance after ``elapsed`` seconds of structural drift.
 
         States near ``g_min`` are amorphous-dominated and drift with the
         full exponent ``drift_nu``; crystalline (high-g) states barely
-        drift.  The exponent is interpolated linearly in between.
+        drift.  The exponent is interpolated linearly in between.  The
+        result is a fresh array (the :meth:`drift_factors` buffer scaled
+        in place), so callers may overwrite it.
         """
         conductance = np.asarray(conductance, dtype=float)
         if self.drift_nu == 0.0 or elapsed == 0.0:
@@ -142,7 +162,9 @@ class PcmDevice:
             if not np.isfinite(elapsed) or elapsed < 0:
                 raise ValueError("elapsed time must be finite and non-negative")
             return conductance.copy()
-        return conductance * self.drift_factors(conductance, elapsed)
+        factors = self.drift_factors(conductance, elapsed)
+        factors *= conductance
+        return factors
 
     def accumulate(
         self,

@@ -109,7 +109,7 @@ def _cmd_diff(args) -> int:
     if not regressions:
         print("history diff clean: no gated metric regressed vs baseline")
         return 0
-    print(f"{len(regressions)} gated metric(s) regressed vs baseline:")
+    print(f"{len(regressions)} gated metric(s) regressed or lack a baseline:")
     for regression in regressions:
         print(f"  {regression.describe()}")
     return 1
@@ -182,7 +182,9 @@ def main(argv: list[str] | None = None) -> int:
     trend.add_argument("-o", "--out", default=None, help="also write to this file")
 
     diff = sub.add_parser(
-        "diff", help="fail when a gated metric regressed vs a baseline DB"
+        "diff",
+        help="fail when a gated metric regressed vs a baseline DB or has "
+        "no baseline row",
     )
     diff.add_argument("--baseline", required=True, help="baseline DB path")
     diff.add_argument("names", nargs="*", help="run names (default: all gated)")

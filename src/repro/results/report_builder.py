@@ -203,7 +203,9 @@ def trend_report(
 
 @dataclass(frozen=True)
 class Regression:
-    """One gated metric moving the wrong way versus the baseline."""
+    """One gated metric moving the wrong way versus the baseline, gated
+    in the baseline but absent now (``missing``), or gated now but with
+    no baseline row to compare against (``unbaselined``)."""
 
     run: str
     metric: str
@@ -216,17 +218,30 @@ class Regression:
     def missing(self) -> bool:
         return self.current is None
 
+    @property
+    def unbaselined(self) -> bool:
+        return self.baseline is None
+
     def describe(self) -> str:
         if self.missing:
             return (
                 f"{self.run}.{self.metric}: gated in the baseline but absent "
                 "from the current DB"
             )
+        if self.unbaselined:
+            return (
+                f"{self.run}.{self.metric}: gated in the current DB but the "
+                "baseline has no row for this run"
+            )
         return (
             f"{self.run}.{self.metric}: {self.current:.6g} vs baseline "
             f"{self.baseline:.6g} ({self.direction} is better, "
             f"rel_tol {self.rel_tol:g})"
         )
+
+
+def _rel_tol(gate) -> float:
+    return gate.rel_tol if gate.rel_tol is not None else 0.0
 
 
 def _violates(direction: str, baseline: float, current: float, rel_tol: float) -> bool:
@@ -252,25 +267,33 @@ def history_diff(
     current store must hold a matching run whose gated metrics did not
     move the wrong way beyond their tolerance.  A gated run missing
     from the current store is itself a regression — a silently
-    un-recorded bench must fail the gate, not pass it.
+    un-recorded bench must fail the gate, not pass it.  So is a gated
+    current run the baseline has no row for: its gates would otherwise
+    compare against nothing and pass forever.
     """
     if names is None:
-        names = baseline.run_names()
+        names = sorted(set(baseline.run_names()) | set(current.run_names()))
     regressions = []
     for name in names:
+        current_run = current.latest_run(name)
         base_run = baseline.latest_run(name)
         if base_run is None:
+            if current_run is not None:
+                regressions.extend(
+                    Regression(name, gate.metric, gate.direction, None,
+                               gate.value, _rel_tol(gate))
+                    for gate in current.gates(current_run.id)
+                )
             continue
         gates = baseline.gates(base_run.id)
         if not gates:
             continue
-        current_run = current.latest_run(name)
         current_metrics = (
             {} if current_run is None else current.metrics(current_run.id)
         )
         for gate in gates:
             value = current_metrics.get(gate.metric)
-            rel_tol = gate.rel_tol if gate.rel_tol is not None else 0.0
+            rel_tol = _rel_tol(gate)
             if value is None:
                 regressions.append(
                     Regression(name, gate.metric, gate.direction, gate.value,

@@ -130,12 +130,23 @@ def _git_sha() -> str | None:
     return sha if out.returncode == 0 and sha else None
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _host_info() -> dict:
+    # absolute throughput only means something next to the cores the
+    # run could use and the BLAS threading it ran under
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux fallback
+        cores = os.cpu_count() or 1
     return {
         "node": platform.node(),
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "cores": cores,
+        "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
     }
 
 

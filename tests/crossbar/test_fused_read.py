@@ -156,6 +156,18 @@ class TestReadCache:
         )
         assert fresh.shape == (8, 4)
 
+    def test_minus_tick_after_a_no_op_tick_still_drops_the_entry(self):
+        positive, negative = make_pair()
+        # nothing is cached yet, so this tick has nothing to drop
+        negative.advance_time(10.0)
+        block = np.full((16, 4), 0.1)
+        positive.mvm(block, minus=negative)
+        assert negative._read_cache == {}
+        assert negative._pair_readers == {positive}
+        negative.advance_time(10.0)
+        assert positive._read_cache == {}
+        assert not negative._pair_readers
+
     def test_drift_is_computed_once_per_array_per_state(self, monkeypatch):
         positive, negative = make_pair()
         calls = []

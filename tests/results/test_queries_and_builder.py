@@ -157,6 +157,29 @@ class TestHistoryDiff:
         assert regressions[0].missing
         assert "absent" in regressions[0].describe()
 
+    def test_gated_run_without_baseline_row_is_reported(self, tmp_path):
+        current, baseline = self.stores(tmp_path, 2.0, 2.0, "higher", 0.1)
+        with ResultsStore(tmp_path / "current.db") as store:
+            record(
+                store, "newbench", 5.0,
+                stamp="2026-02-02T00:00:00+00:00",
+                gates={"speedup": ("higher", 0.5)},
+            )
+        regressions = history_diff(current, baseline)
+        assert [(r.run, r.metric) for r in regressions] == [("newbench", "speedup")]
+        (regression,) = regressions
+        assert regression.unbaselined and not regression.missing
+        assert regression.current == 5.0
+        assert "no row" in regression.describe()
+        # an explicitly named run without a baseline row is reported too
+        assert history_diff(current, baseline, ["newbench"]) == regressions
+
+    def test_ungated_run_without_baseline_row_passes(self, tmp_path):
+        current, baseline = self.stores(tmp_path, 2.0, 2.0, "higher", 0.1)
+        with ResultsStore(tmp_path / "current.db") as store:
+            record(store, "adhoc", 5.0, stamp="2026-02-02T00:00:00+00:00")
+        assert history_diff(current, baseline) == []
+
     def test_improvements_pass(self, tmp_path):
         current, baseline = self.stores(tmp_path, 2.0, 9.0, "higher", 0.1)
         assert history_diff(current, baseline) == []
@@ -164,3 +187,4 @@ class TestHistoryDiff:
     def test_regression_dataclass_shape(self):
         regression = Regression("run", "m", "higher", 1.0, 0.5, 0.1)
         assert not regression.missing
+        assert not regression.unbaselined

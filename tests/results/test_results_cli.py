@@ -80,6 +80,18 @@ class TestCommands:
         assert main(["--db", str(db), "diff", "--baseline", str(snapshot)]) == 0
         assert "clean" in capsys.readouterr().out
 
+    def test_diff_fails_on_gated_run_missing_from_baseline(
+        self, populated, tmp_path, capsys
+    ):
+        db, _ = populated
+        snapshot = tmp_path / "baseline.db"
+        assert main(["--db", str(db), "snapshot", "fig3", "-o", str(snapshot)]) == 0
+        capsys.readouterr()
+        assert main(["--db", str(db), "diff", "--baseline", str(snapshot)]) == 1
+        stdout = capsys.readouterr().out
+        assert "table1." in stdout and "baseline has no row" in stdout
+        assert "fig3." not in stdout
+
     def test_diff_missing_baseline_is_an_error(self, populated, tmp_path, capsys):
         db, _ = populated
         missing = tmp_path / "nope.db"

@@ -90,6 +90,8 @@ class TestRecordRun:
         assert run.kind == "bench"
         assert run.config == {"n": 4, "flag": True}
         assert run.host["python"]
+        assert run.host["cores"] >= 1
+        assert set(run.host["blas_threads"]) >= {"OPENBLAS_NUM_THREADS"}
         assert provider.metrics(run_id) == {"speedup": 2.0, "nmse": 0.01}
         gates = provider.gates(run_id)
         assert [(g.metric, g.direction, g.rel_tol) for g in gates] == [

@@ -9,6 +9,7 @@ from repro._util import (
     as_rng,
     bits_to_bytes,
     bytes_to_bits,
+    check_elapsed,
     check_fraction,
     check_in,
     check_positive,
@@ -51,6 +52,30 @@ class TestCheckers:
     def test_check_fraction_rejects(self, bad):
         with pytest.raises(ValueError):
             check_fraction("f", bad)
+
+    @pytest.mark.parametrize("value", [0, 0.0, 2.5, np.float64(1e9), np.float32(3.0)])
+    def test_check_elapsed_accepts(self, value):
+        checked = check_elapsed("t", value)
+        assert type(checked) is float
+        assert checked == float(value)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            float("nan"),
+            float("inf"),
+            float("-inf"),
+            -1.0,
+            -1e-300,
+            np.float64("nan"),
+            np.float32("nan"),
+            np.float64("inf"),
+            np.float64(-2.0),
+        ],
+    )
+    def test_check_elapsed_rejects(self, bad):
+        with pytest.raises(ValueError, match="t must be a finite non-negative"):
+            check_elapsed("t", bad)
 
     def test_check_in(self):
         assert check_in("op", "or", ("or", "and")) == "or"
