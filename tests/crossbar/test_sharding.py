@@ -31,10 +31,23 @@ class TestConstruction:
         with pytest.raises(ValueError, match="batch_window"):
             ShardedOperator([shard], batch_window=bad)
 
-    def test_rejects_bad_schedule(self, rng):
+    @pytest.mark.parametrize("schedule", ["random", "drift_aware", "optimized"])
+    def test_rejects_bad_schedule(self, schedule, rng):
         shard = DenseOperator(rng.standard_normal((4, 6)))
         with pytest.raises(ValueError, match="schedule"):
-            ShardedOperator([shard], batch_window=2, schedule="random")
+            ShardedOperator([shard], batch_window=2, schedule=schedule)
+
+    @pytest.mark.parametrize(
+        "knob", [{"staleness_weight": 1.0}, {"optimizer": None}]
+    )
+    def test_rejects_removed_scheduler_knobs(self, knob, small_matrix):
+        shard = DenseOperator(small_matrix)
+        with pytest.raises(TypeError):
+            ShardedOperator([shard], batch_window=2, **knob)
+        with pytest.raises(TypeError):
+            ShardedOperator.from_matrix(
+                small_matrix, n_shards=2, batch_window=2, **knob
+            )
 
     def test_from_matrix_validation(self, small_matrix):
         with pytest.raises(ValueError, match="n_shards"):
@@ -191,6 +204,16 @@ class TestAccounting:
         assert result.shape == (8, 4)
         assert fleet.stats["n_matvec"] == 4
 
+    def test_exact_fleet_reports_neutral_lifecycle_state(self, small_matrix):
+        fleet = ShardedOperator.from_matrix(
+            small_matrix, n_shards=2, batch_window=2, backend="exact"
+        )
+        assert fleet.shard_ages == (0.0, 0.0)
+        assert fleet.shard_gains == (1.0, 1.0)
+        dispersion = fleet.gain_dispersion()
+        assert dispersion["gain_spread"] == 0.0
+        assert dispersion["staleness_max_s"] == 0.0
+
 
 class TestReplicaConsistency:
     def test_rejects_shards_with_different_matrices(self, rng):
@@ -267,64 +290,6 @@ class TestDegenerateWindows:
         assert fleet.loads == (2, 0, 0)
         fleet.matmat(np.ones((n, 2)))  # 1 and 2 tied -> shard 1
         assert fleet.loads == (2, 2, 0)
-
-
-class TestDriftAwareScheduling:
-    def test_steers_live_traffic_away_from_the_stale_shard(self, small_matrix):
-        fleet = ShardedOperator.from_matrix(
-            small_matrix,
-            n_shards=2,
-            batch_window=2,
-            schedule="drift_aware",
-            device=PcmDevice.ideal(),
-            seed=0,
-        )
-        fleet.advance_time(1e6, shard=1)  # shard 1 alone goes stale
-        n = small_matrix.shape[1]
-        fleet.matmat(np.ones((n, 8)))
-        # the stale shard is handicapped by one full window of phantom
-        # load, so the fresh shard serves more of the batch
-        assert fleet.loads[0] > fleet.loads[1]
-        assert fleet.loads[0] + fleet.loads[1] == 8
-
-    def test_weight_scales_the_handicap(self, small_matrix):
-        def loads_with(weight):
-            fleet = ShardedOperator.from_matrix(
-                small_matrix,
-                n_shards=2,
-                batch_window=2,
-                schedule="drift_aware",
-                staleness_weight=weight,
-                device=PcmDevice.ideal(),
-                seed=0,
-            )
-            fleet.advance_time(1e6, shard=1)
-            fleet.matmat(np.ones((small_matrix.shape[1], 12)))
-            return fleet.loads
-
-        mild, strong = loads_with(1.0), loads_with(4.0)
-        assert strong[1] < mild[1]  # a heavier weight starves it harder
-
-    def test_staleness_weight_validation(self, small_matrix):
-        with pytest.raises(ValueError, match="staleness_weight"):
-            ShardedOperator.from_matrix(
-                small_matrix,
-                n_shards=2,
-                batch_window=2,
-                schedule="drift_aware",
-                staleness_weight=-0.5,
-                backend="exact",
-            )
-
-    def test_exact_fleet_reports_neutral_lifecycle_state(self, small_matrix):
-        fleet = ShardedOperator.from_matrix(
-            small_matrix, n_shards=2, batch_window=2, backend="exact"
-        )
-        assert fleet.shard_ages == (0.0, 0.0)
-        assert fleet.shard_gains == (1.0, 1.0)
-        dispersion = fleet.gain_dispersion()
-        assert dispersion["gain_spread"] == 0.0
-        assert dispersion["staleness_max_s"] == 0.0
 
 
 class TestRetirement:
@@ -446,366 +411,40 @@ class TestRetirement:
         assert fleet.shard_ages == (0.0, 0.0)
 
 
-class TickingShard(DenseOperator):
-    """Exact shard whose staleness clock follows a scripted sequence.
+class TestPlanAssignments:
+    """A plan stays the plan across drift: clocks are not scheduler
+    inputs, so the next dispatch carries out the dry run verbatim."""
 
-    Each read of :attr:`staleness_seconds` consumes the next scripted
-    value (the final value then sticks), so a test can make staleness
-    advance *between* two reads and observe exactly how many times the
-    scheduler sampled the clock.
-    """
-
-    def __init__(self, matrix, readings):
-        super().__init__(matrix)
-        self._readings = list(readings)
-
-    @property
-    def staleness_seconds(self):
-        if len(self._readings) > 1:
-            return self._readings.pop(0)
-        return self._readings[0]
-
-
-class TestFrozenPenalties:
-    """Satellite 1: drift-aware penalties are normalized once per
-    dispatched block, not once per window."""
-
-    def test_penalties_frozen_across_the_windows_of_one_block(self, rng):
-        # Scripted clocks: at block entry shard 0 reads fresh (0 s) and
-        # shard 1 reads 10 s stale; by the second window shard 0 would
-        # read 30 s.  With the penalty vector frozen at block entry,
-        # shard 0 is charged zero phantom load for the whole block and
-        # serves both windows (second window ties 1+0 vs 0+1, lowest
-        # index wins).  The old per-window recompute re-normalized
-        # against max(30, 10) mid-block and flipped the second window
-        # to shard 1 — loads (1, 1) instead of (2, 0).
-        matrix = rng.standard_normal((4, 6))
-        fleet = ShardedOperator(
-            [
-                TickingShard(matrix, [0.0, 30.0]),
-                TickingShard(matrix, [10.0, 10.0]),
-            ],
-            batch_window=1,
-            schedule="drift_aware",
-            staleness_weight=1.0,
-        )
-        fleet.matmat(rng.standard_normal((6, 2)))
-        assert fleet.loads == (2, 0)
-
-    def test_clock_sampled_once_per_block(self, rng):
-        matrix = rng.standard_normal((4, 6))
-        shard = TickingShard(matrix, [0.0, 1.0, 2.0, 3.0, 4.0])
-        fleet = ShardedOperator(
-            [shard, TickingShard(matrix, [5.0])],
-            batch_window=1,
-            schedule="drift_aware",
-        )
-        fleet.matmat(rng.standard_normal((6, 3)))
-        # three windows, one block: exactly one staleness read consumed
-        assert shard._readings == [1.0, 2.0, 3.0, 4.0]
-
-    @pytest.mark.parametrize("staleness", [0.0, 1e3, 5e6])
-    def test_uniform_staleness_dispatches_exactly_like_greedy(
-        self, small_matrix, staleness
-    ):
-        """Property: a uniformly stale fleet must produce the identical
-        plan (and loads) as schedule="greedy" — the normalized penalty
-        vector is uniform, which cannot move the argmin."""
-        fleets = {}
-        for schedule in ("greedy", "drift_aware"):
-            fleet = ShardedOperator.from_matrix(
-                small_matrix,
-                n_shards=3,
-                batch_window=2,
-                schedule=schedule,
-                device=PcmDevice.ideal(),
-                seed=11,
-            )
-            fleet.advance_time(staleness)
-            fleets[schedule] = fleet
-        stream_rng = np.random.default_rng(3)
-        for width in (5, 3, 8, 1):
-            block = stream_rng.standard_normal((small_matrix.shape[1], width))
-            plans = {
-                name: fleet.plan_assignments(block)
-                for name, fleet in fleets.items()
-            }
-            assert plans["drift_aware"] == plans["greedy"]
-            results = {
-                name: fleet.matmat(block) for name, fleet in fleets.items()
-            }
-            np.testing.assert_array_equal(
-                results["drift_aware"], results["greedy"]
-            )
-        assert fleets["drift_aware"].loads == fleets["greedy"].loads
-
-
-class TestInstallPlan:
-    """Satellite 2: plan_assignments + install_plan bridge the
-    plan→dispatch gap under drift-aware scheduling."""
-
-    def drift_fleet(self, small_matrix):
+    @pytest.mark.parametrize("schedule", ["round_robin", "greedy"])
+    def test_plan_survives_a_per_shard_clock_advance(self, schedule, small_matrix):
         fleet = ShardedOperator.from_matrix(
             small_matrix,
-            n_shards=2,
+            n_shards=3,
             batch_window=2,
-            schedule="drift_aware",
+            schedule=schedule,
             device=PcmDevice.ideal(),
             seed=11,
         )
-        fleet.advance_time(1e6, shard=1)  # shard 1 stale, shard 0 favoured
-        return fleet
+        served = {index: [] for index in range(fleet.n_shards)}
+        for index, shard in enumerate(fleet.shards):
+            def record(block, index=index, read=shard.matmat):
+                served[index].extend(block[0].tolist())
+                return read(block)
 
-    def test_staleness_moving_between_plan_and_dispatch_breaks_replay(
-        self, small_matrix, rng
-    ):
-        """Failing-before shape of the bug: the planned assignment is a
-        pure function of scheduler state *including staleness*, so time
-        advancing in the gap legitimately re-plans differently."""
-        fleet = self.drift_fleet(small_matrix)
-        block = rng.standard_normal((small_matrix.shape[1], 6))
-        plan = fleet.plan_assignments(block)
-        fleet.advance_time(5e6, shard=0)  # now shard 0 is the stale one
-        assert fleet.plan_assignments(block) != plan
-
-    def test_install_plan_pins_the_planned_assignment(self, small_matrix, rng):
-        fleet = self.drift_fleet(small_matrix)
-        block = rng.standard_normal((small_matrix.shape[1], 6))
-        plan = fleet.plan_assignments(block)
-        fleet.advance_time(5e6, shard=0)
-        fleet.install_plan(plan)
-        fleet.matmat(block)
-        served = [0, 0]
-        for start, stop, shard in plan:
-            served[shard] += stop - start
-        assert [s.n_matvec for s in fleet.shards] == served
-        assert fleet.loads == tuple(served)  # real loads accrued
-
-    def test_plan_assignments_does_not_consume_the_pin(
-        self, small_matrix, rng
-    ):
-        fleet = self.drift_fleet(small_matrix)
-        block = rng.standard_normal((small_matrix.shape[1], 6))
-        plan = fleet.plan_assignments(block)
-        fleet.install_plan(plan)
-        assert fleet.plan_assignments(block) == plan  # dry-run replays it
-        fleet.advance_time(5e6, shard=0)
-        fleet.matmat(block)  # the pin survived the dry run
-        served = [0, 0]
-        for start, stop, shard in plan:
-            served[shard] += stop - start
-        assert fleet.loads == tuple(served)
-
-    def test_pin_is_one_shot(self, small_matrix, rng):
-        fleet = self.drift_fleet(small_matrix)
-        block = rng.standard_normal((small_matrix.shape[1], 6))
-        fleet.install_plan(fleet.plan_assignments(block))
-        fleet.matmat(block)
-        # the next block re-plans from live state, it does not replay
-        assert fleet._pinned_plan is None
-        fleet.matmat(block)
-
-    def test_mismatched_block_raises_and_clears_the_pin(
-        self, small_matrix, rng
-    ):
-        fleet = self.drift_fleet(small_matrix)
-        block = rng.standard_normal((small_matrix.shape[1], 6))
-        fleet.install_plan(fleet.plan_assignments(block))
-        with pytest.raises(ValueError, match="does not match"):
-            fleet.matmat(rng.standard_normal((small_matrix.shape[1], 4)))
-        assert fleet._pinned_plan is None
-        fleet.matmat(block)  # a stray block cannot poison the next one
-
-    def test_plan_validation(self, small_matrix):
-        fleet = self.drift_fleet(small_matrix)
-        with pytest.raises(ValueError, match="at least one window"):
-            fleet.install_plan([])
-        with pytest.raises(ValueError, match="start < stop"):
-            fleet.install_plan([(2, 2, 0)])
-        with pytest.raises(ValueError, match="start < stop"):
-            fleet.install_plan([(0.5, 2, 0)])
-        with pytest.raises(ValueError, match="outside"):
-            fleet.install_plan([(0, 2, 9)])
-        fleet.retire_shard(1)
-        with pytest.raises(ValueError, match="retired shard 1"):
-            fleet.install_plan([(0, 2, 1)])
-
-    def test_plan_naming_a_shard_retired_after_install_raises(
-        self, small_matrix, rng
-    ):
-        fleet = self.drift_fleet(small_matrix)
-        block = rng.standard_normal((small_matrix.shape[1], 6))
-        plan = fleet.plan_assignments(block)
-        assert any(shard == 0 for _, _, shard in plan)
-        fleet.install_plan(plan)
-        fleet.retire_shard(0)
-        with pytest.raises(ValueError, match="retired or out of range"):
-            fleet.matmat(block)
-
-
-class TestOptimizedSchedule:
-    """The fourth schedule: cost-model-driven placement through the
-    plan/dispatch contract, bitwise-greedy on homogeneous fleets."""
-
-    def make_pair(self, small_matrix, batch_window=3):
-        return {
-            schedule: ShardedOperator.from_matrix(
-                small_matrix,
-                n_shards=3,
-                batch_window=batch_window,
-                schedule=schedule,
-                device=PcmDevice.ideal(),
-                seed=23,
-            )
-            for schedule in ("greedy", "optimized")
-        }
-
-    def test_homogeneous_fleet_is_bitwise_greedy(self, small_matrix):
-        """The headline reduction: on a fleet with uniform gains and
-        staleness the optimizer's labeling is exactly the greedy argmin
-        (tie-sets included), so results, loads and merged counters all
-        match bit for bit across a mixed stream of blocks."""
-        pair = self.make_pair(small_matrix)
-        stream = np.random.default_rng(9)
+            shard.matmat = record
         n = small_matrix.shape[1]
-        for width in (7, 2, 5, 1, 8):
-            block = stream.standard_normal((n, width))
-            if width == 5:
-                block[:, 2] = 0.0  # degenerate window traffic
-            np.testing.assert_array_equal(
-                pair["optimized"].matmat(block), pair["greedy"].matmat(block)
-            )
-        z = stream.standard_normal((small_matrix.shape[0], 4))
-        np.testing.assert_array_equal(
-            pair["optimized"].rmatmat(z), pair["greedy"].rmatmat(z)
-        )
-        assert pair["optimized"].loads == pair["greedy"].loads
-        assert pair["optimized"].stats == pair["greedy"].stats
-        assert pair["optimized"].shard_stats == pair["greedy"].shard_stats
-
-    def test_homogeneous_single_vector_paths_match_greedy(self, small_matrix):
-        pair = self.make_pair(small_matrix, batch_window=2)
-        stream = np.random.default_rng(9)
-        for _ in range(5):
-            x = stream.standard_normal(small_matrix.shape[1])
-            np.testing.assert_array_equal(
-                pair["optimized"].matvec(x), pair["greedy"].matvec(x)
-            )
-        assert pair["optimized"].loads == pair["greedy"].loads
-
-    def test_stale_shard_is_steered_away_from(self, small_matrix):
-        fleet = ShardedOperator.from_matrix(
-            small_matrix,
-            n_shards=2,
-            batch_window=2,
-            schedule="optimized",
-            device=PcmDevice.ideal(),
-            seed=23,
-        )
-        fleet.advance_time(1e6, shard=0)
-        stream = np.random.default_rng(9)
-        for _ in range(4):
-            fleet.matmat(stream.standard_normal((small_matrix.shape[1], 8)))
-        assert fleet.loads[0] < fleet.loads[1]
-
-    def test_custom_optimizer_is_honoured(self, small_matrix):
-        from repro.crossbar import PlacementOptimizer
-
-        eager = PlacementOptimizer(error_weight=100.0, staleness_halflife_s=10.0)
-        fleet = ShardedOperator.from_matrix(
-            small_matrix,
-            n_shards=2,
-            batch_window=2,
-            schedule="optimized",
-            optimizer=eager,
-            device=PcmDevice.ideal(),
-            seed=23,
-        )
-        assert fleet.optimizer is eager
-        fleet.advance_time(100.0, shard=0)
-        stream = np.random.default_rng(9)
-        fleet.matmat(stream.standard_normal((small_matrix.shape[1], 8)))
-        assert fleet.loads[0] == 0  # heavily penalized shard gets nothing
-
-    def test_optimizer_requires_the_optimized_schedule(self, small_matrix):
-        from repro.crossbar import PlacementOptimizer
-
-        with pytest.raises(ValueError, match="schedule='optimized' only"):
-            ShardedOperator.from_matrix(
-                small_matrix,
-                n_shards=2,
-                batch_window=2,
-                schedule="greedy",
-                optimizer=PlacementOptimizer(),
-                backend="exact",
-            )
-        # and the non-optimized schedules carry no optimizer at all
-        fleet = ShardedOperator.from_matrix(
-            small_matrix, n_shards=2, batch_window=2, backend="exact"
-        )
-        assert fleet.optimizer is None
-
-    def test_fused_sweep_matches_the_unfused_pair(self, small_matrix):
-        fleets = [
-            ShardedOperator.from_matrix(
-                small_matrix,
-                n_shards=3,
-                batch_window=2,
-                schedule="optimized",
-                backend="exact",
-            )
-            for _ in range(2)
-        ]
-        stream = np.random.default_rng(9)
-        z = stream.standard_normal((small_matrix.shape[0], 7))
-        transform = lambda u, cols: 0.5 * u
-        x_fused, q_fused = fleets[0].fused_sweep(z, transform)
-        x_ref = 0.5 * fleets[1].rmatmat(z)
-        q_ref = fleets[1].matmat(x_ref)
-        np.testing.assert_array_equal(x_fused, x_ref)
-        # forward windows dispatch per window in the fused path (per
-        # shard in the unfused pair), so gemm widths — and the last
-        # float bits — may differ; the schedule itself is identical.
-        np.testing.assert_allclose(q_fused, q_ref, rtol=1e-12, atol=1e-12)
-        assert fleets[0].stats == fleets[1].stats
-
-    def test_threaded_dispatch_is_bitwise_serial(self, small_matrix):
-        serial = ShardedOperator.from_matrix(
-            small_matrix,
-            n_shards=3,
-            batch_window=2,
-            schedule="optimized",
-            backend="exact",
-        )
-        threaded = ShardedOperator.from_matrix(
-            small_matrix,
-            n_shards=3,
-            batch_window=2,
-            schedule="optimized",
-            parallelism="threads",
-            backend="exact",
-        )
-        stream = np.random.default_rng(9)
-        try:
-            for width in (7, 3, 5):
-                block = stream.standard_normal((small_matrix.shape[1], width))
-                np.testing.assert_array_equal(
-                    serial.matmat(block), threaded.matmat(block)
-                )
-            assert serial.loads == threaded.loads
-            assert serial.stats == threaded.stats
-        finally:
-            threaded.shutdown()
-
-    def test_all_shards_retired_raises(self, small_matrix, rng):
-        fleet = ShardedOperator.from_matrix(
-            small_matrix,
-            n_shards=2,
-            batch_window=2,
-            schedule="optimized",
-            backend="exact",
-        )
-        fleet.retire_shard(0)
-        fleet.retire_shard(1)
-        with pytest.raises(RuntimeError, match="no serving capacity"):
-            fleet.matmat(rng.standard_normal((small_matrix.shape[1], 4)))
+        fleet.matmat(np.ones((n, 3)))  # uneven loads, cursor off zero
+        for index in served:
+            served[index].clear()
+        # column j carries the tag j + 1, so each shard's reads name
+        # exactly the columns it served
+        block = np.tile(np.arange(1.0, 8.0), (n, 1))
+        block[:, 4] = 0.0  # a dead column rides along
+        plan = fleet.plan_assignments(block)
+        fleet.advance_time(5e6, shard=0)
+        fleet.advance_time(1e3, shard=2)
+        expected = {index: [] for index in range(fleet.n_shards)}
+        for start, stop, shard in plan:
+            expected[shard].extend(block[0, start:stop].tolist())
+        fleet.matmat(block)
+        assert served == expected
