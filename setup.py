@@ -1,9 +1,9 @@
 """Legacy setup shim.
 
-The offline environment lacks the ``wheel`` package, which the PEP 517
-editable-install path requires; keeping a ``setup.py`` lets
-``pip install -e .`` fall back to ``setup.py develop``.  All metadata
-lives in pyproject.toml.
+Keeping a ``setup.py`` lets ``pip install -e .`` fall back to
+``setup.py develop`` where the ``wheel`` package, which the PEP 517
+editable-install path requires, is missing.  This file holds all of
+the package metadata; the repo has no ``pyproject.toml``.
 """
 
 from setuptools import find_packages, setup

@@ -39,13 +39,6 @@ class CrossbarArray:
     wire_resistance:
         Per-segment interconnect resistance in ohms for the first-order
         IR-drop model (0 disables IR drop).
-    noise_chunk:
-        Column-chunked noise mode for batched reads: when set, read
-        noise for a ``(lines, B)`` voltage block is drawn ``noise_chunk``
-        batch columns at a time, so very large tiles batch without
-        materializing full ``(lines, B)`` noise-power and normal-draw
-        blocks alongside the output.  ``None`` (default) keeps the
-        single full-block draw (and its RNG draw shape).
     seed:
         RNG seed or generator for all stochastic behaviour of this array.
     """
@@ -56,7 +49,6 @@ class CrossbarArray:
         device: PcmDevice | None = None,
         programming_iterations: int = 5,
         wire_resistance: float = 0.0,
-        noise_chunk: int | None = None,
         seed: int | np.random.Generator | None = None,
     ) -> None:
         target_conductance = np.asarray(target_conductance, dtype=float)
@@ -66,12 +58,9 @@ class CrossbarArray:
             raise ValueError("conductances must be non-negative")
         if wire_resistance < 0:
             raise ValueError("wire_resistance must be non-negative")
-        if noise_chunk is not None and noise_chunk < 1:
-            raise ValueError("noise_chunk must be >= 1 or None")
         self.device = device if device is not None else PcmDevice()
         self._rng = as_rng(seed)
         self.wire_resistance = wire_resistance
-        self.noise_chunk = noise_chunk
         self._g_target = target_conductance
         self._programming_iterations = programming_iterations
         self.programming_report: ProgrammingReport = program_and_verify(
@@ -323,28 +312,18 @@ class CrossbarArray:
         with ``wire_resistance > 0`` the IR-drop factors are computed
         on the mean (noise-free) conductance rather than each read's
         noisy realization, so noise does not perturb the drop factors.
-
-        With ``noise_chunk`` set, the noise is drawn ``noise_chunk``
-        batch columns at a time: each column's noise power and draw are
-        unchanged, but the ``(lines, B)`` noise-power and normal blocks
-        never exist all at once.  A chunk covering the batch is the
-        single full-block draw.
         """
         mean, power = self._read_entry(axis, minus)
         currents = mean.T @ voltages if axis == 0 else mean @ voltages
         sigma = self.device.read_noise_sigma
         if sigma == 0.0:
             return currents
-        width = voltages.shape[1]
-        chunk = self.noise_chunk or max(width, 1)
-        for start in range(0, width, chunk):
-            v_part = voltages[:, start : start + chunk]
-            v_sq = v_part * v_part
-            std = power.T @ v_sq if axis == 0 else power @ v_sq
-            np.sqrt(std, out=std)
-            std *= sigma
-            std *= self._rng.standard_normal(std.shape)
-            currents[:, start : start + chunk] += std
+        v_sq = voltages * voltages
+        std = power.T @ v_sq if axis == 0 else power @ v_sq
+        np.sqrt(std, out=std)
+        std *= sigma
+        std *= self._rng.standard_normal(std.shape)
+        currents += std
         return currents
 
     def _vector_currents(self, voltages: np.ndarray, axis: int) -> np.ndarray:

@@ -43,6 +43,10 @@ batched or per-vector dispatch) and services each shard whose staleness
   :meth:`ShardedOperator.retire_shard` takes it out of rotation and
   the fleet rebalances onto the survivors.
 
+Every action services a whole shard: one digital gain fits the whole
+shard, and a reprogram rewrites every tile.  A partial rewrite would
+leave that one gain to fit fresh and drifted tiles at once.
+
 Every action is logged as a :class:`MaintenanceAction`, and the counter
 deltas it caused are accumulated into :attr:`FleetMaintenance.stats`, so
 the energy bill of a maintained fleet splits exactly into serving versus
@@ -87,10 +91,9 @@ class MaintenanceAction:
     shard:
         Index of the serviced replica in the fleet.
     action:
-        ``"calibrate"``, ``"reprogram"``, ``"reprogram_tiles"`` or
-        ``"retire"`` (escalated calibrations report as the action they
-        escalated to; the probe cost of every rung climbed is
-        included).
+        ``"calibrate"``, ``"reprogram"`` or ``"retire"`` (escalated
+        calibrations report as the action they escalated to; the probe
+        cost of every rung climbed is included).
     staleness_s:
         The staleness that triggered the action, in seconds.
     gain:
@@ -155,15 +158,6 @@ class FleetMaintenance:
         disables verify and retirement.
     n_probes:
         Probe vectors per calibration (as in ``calibrate``).
-    tile_budget:
-        Tiles rewritten per reprogram-due shard, hottest-and-stalest
-        first (:meth:`CrossbarOperator.stale_hot_tiles`), followed by a
-        recalibration to refresh the now-mixed gain — the tile-scoped
-        alternative to a whole-operator rewrite for huge tiled shards.
-        Applies only when the shard supports tile maintenance and no
-        ``verify_error_budget`` is set (the verify-and-retire ladder
-        measures whole-shard health, so it keeps whole-shard rewrites);
-        ``None`` (default) always rewrites whole shards.
     programming_iterations:
         Verify rounds per reprogram (``None`` keeps each shard's
         construction-time setting).
@@ -187,7 +181,6 @@ class FleetMaintenance:
         verify_probes: int | None = None,
         verify_error_budget: float | None = None,
         n_probes: int = 8,
-        tile_budget: int | None = None,
         programming_iterations: int | None = None,
         seed: int | np.random.Generator | None = None,
         attach: bool = True,
@@ -215,10 +208,6 @@ class FleetMaintenance:
             raise ValueError("n_probes must be >= 1")
         if verify_probes is not None and verify_probes < 1:
             raise ValueError("verify_probes must be >= 1 or None")
-        if tile_budget is not None and (
-            tile_budget != int(tile_budget) or tile_budget < 1
-        ):
-            raise ValueError("tile_budget must be an integer >= 1 or None")
         if programming_iterations is not None and programming_iterations < 1:
             raise ValueError("programming_iterations must be >= 1 or None")
         self.fleet = fleet
@@ -233,7 +222,6 @@ class FleetMaintenance:
             int(verify_probes) if verify_probes is not None else int(n_probes)
         )
         self.n_probes = int(n_probes)
-        self.tile_budget = int(tile_budget) if tile_budget is not None else None
         self.programming_iterations = programming_iterations
         self._rng = as_rng(seed)
         self._sweep_lock = threading.Lock()
@@ -365,27 +353,12 @@ class FleetMaintenance:
 
         Returns ``(action, verify_error)`` — ``"reprogram"`` when the
         rewrite verified inside the budget (or no budget is set),
-        ``"reprogram_tiles"`` when a :attr:`tile_budget` scoped the
-        rewrite to the shard's hottest stale tiles (followed by a
-        recalibration, since a partial rewrite leaves the single
-        digital gain mixing fresh and drifted tiles), ``"retire"`` when
-        the verify budget could not be met: stuck devices survive
-        rewrites, so a shard whose verify error stays above budget can
-        never be healed by reprogramming and is taken out of rotation.
-        The verify-and-retire ladder always rewrites whole shards —
-        its verify measurement is whole-shard health, which a partial
-        rewrite would conflate with the still-drifted remainder.
+        ``"retire"`` when the verify budget could not be met: stuck
+        devices survive rewrites, so a shard whose verify error stays
+        above budget can never be healed by reprogramming and is taken
+        out of rotation.
         """
         if self.verify_error_budget is None:
-            if self.tile_budget is not None:
-                rank = getattr(shard, "stale_hot_tiles", None)
-                rewrite = getattr(shard, "reprogram_tiles", None)
-                if rank is not None and rewrite is not None:
-                    targets = rank(budget=self.tile_budget)
-                    if targets:
-                        rewrite(targets, self.programming_iterations)
-                        shard.calibrate(n_probes=self.n_probes, seed=self._rng)
-                        return "reprogram_tiles", None
             shard.reprogram(self.programming_iterations)
             return "reprogram", None
         shard.reprogram(
@@ -423,18 +396,10 @@ class FleetMaintenance:
                     action, verify_error = self._reprogram_and_verify(
                         index, shard
                     )
-                    gain = (
-                        float(getattr(shard, "gain", 1.0))
-                        if action == "reprogram_tiles"
-                        else 1.0
-                    )
+                    gain = 1.0
             else:
                 action, verify_error = self._reprogram_and_verify(index, shard)
-                gain = (
-                    float(getattr(shard, "gain", 1.0))
-                    if action == "reprogram_tiles"
-                    else 1.0
-                )
+                gain = 1.0
             after = dict(shard.stats)
             for key in after.keys() | before.keys():
                 delta = after.get(key, 0) - before.get(key, 0)
@@ -476,13 +441,6 @@ class FleetMaintenance:
     @property
     def n_reprograms(self) -> int:
         return sum(1 for action in self.actions if action.action == "reprogram")
-
-    @property
-    def n_tile_sweeps(self) -> int:
-        """Tile-scoped rewrite actions (``tile_budget`` sweeps)."""
-        return sum(
-            1 for action in self.actions if action.action == "reprogram_tiles"
-        )
 
     @property
     def n_retirements(self) -> int:

@@ -36,6 +36,9 @@ from repro.devices import PcmDevice
 
 __all__ = ["CrossbarOperator", "DenseOperator"]
 
+# ADC headroom over the largest line L2-norm of the stored matrix.
+_FULL_SCALE_SIGMAS = 4.0
+
 
 class DenseOperator:
     """Exact numpy implementation of the operator interface.
@@ -110,7 +113,6 @@ class _TilePair:
         device: PcmDevice,
         programming_iterations: int,
         wire_resistance: float,
-        noise_chunk: int | None,
         rng: np.random.Generator,
     ) -> None:
         self.positive = CrossbarArray(
@@ -118,7 +120,6 @@ class _TilePair:
             device=device,
             programming_iterations=programming_iterations,
             wire_resistance=wire_resistance,
-            noise_chunk=noise_chunk,
             seed=rng,
         )
         self.negative = CrossbarArray(
@@ -126,7 +127,6 @@ class _TilePair:
             device=device,
             programming_iterations=programming_iterations,
             wire_resistance=wire_resistance,
-            noise_chunk=noise_chunk,
             seed=rng,
         )
 
@@ -170,23 +170,9 @@ class CrossbarOperator:
         Program-and-verify rounds for writing the conductances.
     wire_resistance:
         Per-segment wire resistance for the IR-drop model (0 = off).
-    noise_chunk:
-        Optional column-chunked noise mode for batched reads (see
-        :class:`~repro.crossbar.array.CrossbarArray`): bounds the
-        transient noise blocks of a ``matmat`` to ``noise_chunk`` batch
-        columns per tile, for very large tiles at large B.
     utilization:
         Fraction of the conductance window given to the largest
         coefficient (headroom for drift).
-    full_scale_mode:
-        How the ADC full-scale current is chosen. ``"statistical"``
-        (default) sizes it at ``full_scale_sigmas`` times the largest
-        line L2-norm — the practical choice, since the worst-case sum
-        current of a dense line is ~sqrt(rows) larger than any current
-        that actually occurs and would waste ADC levels.  ``"worst"``
-        guarantees no clipping ever.
-    full_scale_sigmas:
-        Headroom multiplier for the statistical mode.
     seed:
         RNG seed or generator for all stochastic device behaviour.
     """
@@ -201,16 +187,9 @@ class CrossbarOperator:
         tile_shape: tuple[int, int] = (1024, 1024),
         programming_iterations: int = 5,
         wire_resistance: float = 0.0,
-        noise_chunk: int | None = None,
         utilization: float = 1.0,
-        full_scale_mode: str = "statistical",
-        full_scale_sigmas: float = 4.0,
         seed: int | np.random.Generator | None = None,
     ) -> None:
-        if full_scale_mode not in ("statistical", "worst"):
-            raise ValueError("full_scale_mode must be 'statistical' or 'worst'")
-        if full_scale_sigmas <= 0:
-            raise ValueError("full_scale_sigmas must be positive")
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
             raise ValueError("matrix must be 2-D")
@@ -236,22 +215,22 @@ class CrossbarOperator:
                     device=self.device,
                     programming_iterations=programming_iterations,
                     wire_resistance=wire_resistance,
-                    noise_chunk=noise_chunk,
                     rng=rng,
                 )
 
         self.dac = Dac(bits=dac_bits, v_max=v_read)
+        # Sized on line L2-norms, not worst-case sums: the worst-case
+        # current of a dense line is ~sqrt(rows) larger than any current
+        # that actually occurs and would waste ADC levels.
         scaled = stored * self._scale * v_read
-        if full_scale_mode == "worst":
-            col_fs = float(np.abs(scaled).sum(axis=0).max()) if stored.size else 0.0
-            row_fs = float(np.abs(scaled).sum(axis=1).max()) if stored.size else 0.0
-            margin = 1.05
-        else:
-            col_fs = float(np.sqrt((scaled**2).sum(axis=0)).max()) if stored.size else 0.0
-            row_fs = float(np.sqrt((scaled**2).sum(axis=1)).max()) if stored.size else 0.0
-            margin = full_scale_sigmas
-        self.adc_columns = Adc(bits=adc_bits, full_scale=max(col_fs * margin, 1e-12))
-        self.adc_rows = Adc(bits=adc_bits, full_scale=max(row_fs * margin, 1e-12))
+        col_fs = float(np.sqrt((scaled**2).sum(axis=0)).max()) if stored.size else 0.0
+        row_fs = float(np.sqrt((scaled**2).sum(axis=1)).max()) if stored.size else 0.0
+        self.adc_columns = Adc(
+            bits=adc_bits, full_scale=max(col_fs * _FULL_SCALE_SIGMAS, 1e-12)
+        )
+        self.adc_rows = Adc(
+            bits=adc_bits, full_scale=max(row_fs * _FULL_SCALE_SIGMAS, 1e-12)
+        )
         self.v_read = v_read
         self.n_matvec = 0
         self.n_rmatvec = 0
@@ -272,17 +251,6 @@ class CrossbarOperator:
         self.n_calibrations = 0
         self.n_calibration_probes = 0
         self.n_reprograms = 0
-        self.n_tile_reprograms = 0
-        # Per-tile maintenance clocks and read-activity tallies: each
-        # tile records the operator age at its last maintenance event
-        # (so :attr:`tile_staleness` is per-tile), and each row/column
-        # span counts the live reads that engaged its tiles — together
-        # they let :meth:`stale_hot_tiles` order tile-scoped rewrites
-        # hottest-and-stalest first instead of rewriting the whole
-        # operator.
-        self._tile_maintained_at = {key: 0.0 for key in self._tiles}
-        self._row_span_reads = [0] * len(self._row_spans)
-        self._col_span_reads = [0] * len(self._col_spans)
         # Health measurements from the last maintenance events: the
         # residual relative error after the last gain fit, and the
         # verify error of the last reprogram-and-verify session
@@ -322,48 +290,6 @@ class CrossbarOperator:
         keep drifting — only the digital compensation is fresh).
         """
         return self.age_seconds - self._maintained_at_age
-
-    @property
-    def tile_staleness(self) -> dict[tuple[int, int], float]:
-        """Seconds since each tile's last maintenance event.
-
-        Whole-operator maintenance (:meth:`calibrate`,
-        :meth:`reprogram`) resets every tile's clock;
-        :meth:`reprogram_tiles` resets only the tiles it rewrote, so a
-        partially maintained operator carries heterogeneous tile
-        staleness even though :attr:`staleness_seconds` (the worst
-        case drives fleet scheduling) reflects the latest event.
-        """
-        return {
-            key: self.age_seconds - maintained
-            for key, maintained in self._tile_maintained_at.items()
-        }
-
-    @property
-    def tile_read_counts(self) -> dict[tuple[int, int], int]:
-        """Live reads that engaged each tile, per tile key.
-
-        Forward reads engage a tile through its row span (the input
-        side of ``matvec``/``matmat``), transpose reads through its
-        column span; the per-tile count is the sum of both — the
-        traffic-weighted "heat" :meth:`stale_hot_tiles` ranks by.
-        """
-        return {
-            (ri, ci): self._row_span_reads[ri] + self._col_span_reads[ci]
-            for ri, ci in self._tiles
-        }
-
-    def _count_span_reads(self, block: np.ndarray, spans, counts) -> None:
-        """Tally, per span, the input columns live within that span.
-
-        All-zero columns contribute nothing anywhere (they never touch
-        the hardware), and a column that is zero across one span's rows
-        does not heat that span's tiles.
-        """
-        for si, (s0, s1) in enumerate(spans):
-            counts[si] += int(
-                np.count_nonzero(np.any(block[s0:s1] != 0.0, axis=0))
-            )
 
     def advance_time(self, seconds: float) -> None:
         """Let every tile drift for ``seconds`` (Sec. III, PCM drift).
@@ -409,7 +335,6 @@ class CrossbarOperator:
         self._gain = 1.0
         self.age_seconds = 0.0
         self._maintained_at_age = 0.0
-        self._tile_maintained_at = {key: 0.0 for key in self._tiles}
         self.n_reprograms += 1
         if verify_probes is not None:
             self.last_reprogram_error = self.read_error(
@@ -530,72 +455,7 @@ class CrossbarOperator:
         self.n_calibrations += 1
         self.n_calibration_probes += n_probes
         self._maintained_at_age = self.age_seconds
-        # The fitted gain compensates every tile at once, so the whole
-        # tile clock set refreshes with the operator clock.
-        self._tile_maintained_at = {
-            key: self.age_seconds for key in self._tiles
-        }
         return self._gain
-
-    def reprogram_tiles(
-        self,
-        keys,
-        programming_iterations: int | None = None,
-    ) -> int:
-        """Rewrite only the named tiles; returns this session's pulses.
-
-        The tile-scoped maintenance action behind hot-tile-first
-        recalibration: each named ``(row_index, col_index)`` tile pair
-        gets a full program-and-verify session (its devices restart
-        drift-fresh), its clock in :attr:`tile_staleness` resets, and
-        the operator's :attr:`staleness_seconds` records the event —
-        but :attr:`age_seconds`, the untouched tiles' clocks and the
-        digital gain are left alone.  The gain therefore mixes fresh
-        and drifted tiles until the next :meth:`calibrate`; policies
-        should calibrate after a tile sweep (``FleetMaintenance`` with
-        ``tile_budget`` does).  Duplicate keys rewrite once; an empty
-        key list is a no-op costing nothing.
-        """
-        unique = list(dict.fromkeys(tuple(key) for key in keys))
-        for key in unique:
-            if key not in self._tiles:
-                raise ValueError(
-                    f"unknown tile {key!r}; valid keys are "
-                    f"(row_index, col_index) with row_index < "
-                    f"{len(self._row_spans)} and col_index < "
-                    f"{len(self._col_spans)}"
-                )
-        if not unique:
-            return 0
-        before = self.n_program_pulses
-        for key in unique:
-            self._tiles[key].reprogram(programming_iterations)
-            self._tile_maintained_at[key] = self.age_seconds
-            self.n_tile_reprograms += 1
-        self._maintained_at_age = self.age_seconds
-        return self.n_program_pulses - before
-
-    def stale_hot_tiles(self, budget: int | None = None) -> list[tuple[int, int]]:
-        """Tiles worth rewriting first: stale, ordered by heat x staleness.
-
-        Ranks every tile with non-zero :attr:`tile_staleness` by
-        ``staleness * (1 + reads)`` descending (reads from
-        :attr:`tile_read_counts`), tile key breaking ties — so among
-        equally stale tiles the ones serving the most live traffic come
-        first, and an idle-but-ancient tile still outranks a fresh hot
-        one eventually.  ``budget`` caps the list (the per-sweep rewrite
-        budget of a tile-scoped maintenance policy); ``None`` returns
-        every stale tile.
-        """
-        if budget is not None and (budget != int(budget) or budget < 1):
-            raise ValueError("budget must be an integer >= 1 or None")
-        staleness = self.tile_staleness
-        reads = self.tile_read_counts
-        ranked = sorted(
-            (key for key in self._tiles if staleness[key] > 0.0),
-            key=lambda key: (-(staleness[key] * (1.0 + reads[key])), key),
-        )
-        return ranked if budget is None else ranked[: int(budget)]
 
     def _normalize(self, vector: np.ndarray) -> tuple[np.ndarray, float]:
         peak = float(np.max(np.abs(vector))) if vector.size else 0.0
@@ -619,7 +479,6 @@ class CrossbarOperator:
             raise ValueError(f"x must have shape ({n},), got {x.shape}")
         check_finite("x", x)
         self.n_matvec += 1
-        self._count_span_reads(x[:, None], self._row_spans, self._row_span_reads)
         normalized, peak = self._normalize(x)
         if peak == 0.0:
             return np.zeros(m)
@@ -641,7 +500,6 @@ class CrossbarOperator:
             raise ValueError(f"z must have shape ({m},), got {z.shape}")
         check_finite("z", z)
         self.n_rmatvec += 1
-        self._count_span_reads(z[:, None], self._col_spans, self._col_span_reads)
         normalized, peak = self._normalize(z)
         if peak == 0.0:
             return np.zeros(n)
@@ -674,7 +532,6 @@ class CrossbarOperator:
             raise ValueError(f"X must have shape ({n}, B), got {x_block.shape}")
         check_finite("X", x_block)
         self.n_matvec += x_block.shape[1]
-        self._count_span_reads(x_block, self._row_spans, self._row_span_reads)
 
         def tile_currents(voltages):
             for ri, (r0, r1) in enumerate(self._row_spans):
@@ -698,7 +555,6 @@ class CrossbarOperator:
             raise ValueError(f"Z must have shape ({m}, B), got {z_block.shape}")
         check_finite("Z", z_block)
         self.n_rmatvec += z_block.shape[1]
-        self._count_span_reads(z_block, self._col_spans, self._col_span_reads)
 
         def tile_currents(voltages):
             for ri, (r0, r1) in enumerate(self._row_spans):
@@ -763,7 +619,6 @@ class CrossbarOperator:
             "n_calibrations": self.n_calibrations,
             "n_calibration_probes": self.n_calibration_probes,
             "n_reprograms": self.n_reprograms,
-            "n_tile_reprograms": self.n_tile_reprograms,
             "n_program_pulses": self.n_program_pulses,
             "n_devices": self.n_devices,
             "n_tiles": self.n_tiles,

@@ -22,11 +22,8 @@ Layering:
 * :mod:`~repro.serving.windows` — :class:`MaintenanceWindow`,
   drift-forecast scheduling of :class:`FleetMaintenance` sweeps into
   low-traffic slots on the shared service line.
-* :mod:`~repro.serving.async_server` — :class:`AsyncFleetServer`, the
-  thin asyncio facade for wall-clock deployments.
 """
 
-from repro.serving.async_server import AsyncFleetServer
 from repro.serving.clock import VirtualClock
 from repro.serving.queue import (
     ADMISSION_POLICIES,
@@ -43,7 +40,6 @@ __all__ = [
     "ADMISSION_POLICIES",
     "REQUEST_KINDS",
     "AdmissionController",
-    "AsyncFleetServer",
     "BlockDispatch",
     "FleetServer",
     "MaintenanceSlot",

@@ -182,6 +182,11 @@ class RequestQueue:
             return True
         return now_s >= lane[0].arrival_s + self.coalesce_budget_s
 
+    def peek_block(self, kind: str) -> list[Request]:
+        """The block :meth:`pop_block` would release, left in the lane."""
+        lane = self._lanes[kind]
+        return [lane[i] for i in range(min(len(lane), self.block_columns))]
+
     def pop_block(self, kind: str) -> list[Request]:
         """Release up to ``block_columns`` requests, FIFO order."""
         lane = self._lanes[kind]

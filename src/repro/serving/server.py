@@ -12,10 +12,9 @@ path a single ``(n, 1000)`` caller would, and the fleet's counters
 price the traffic identically.
 
 Time is modelled, not measured: the server reads a clock object
-(:class:`~repro.serving.clock.VirtualClock` in simulation, the event
-loop's clock under the asyncio facade) and charges each dispatched
-block ``ceil(B / batch_window) * window_service_s`` of busy time on a
-single fleet-wide service line.  Queue latency (arrival → dispatch),
+(:class:`~repro.serving.clock.VirtualClock` by default) and charges
+each dispatched block ``ceil(B / batch_window) * window_service_s`` of
+busy time on a single fleet-wide service line.  Queue latency (arrival → dispatch),
 service latency (dispatch → completion) and SLO conformance therefore
 come out deterministic for a given arrival trace — the property the
 determinism suite pins.
@@ -296,7 +295,10 @@ class FleetServer:
         return served
 
     def _dispatch_block(self, kind: str) -> list[RequestResult]:
-        requests = self.queue.pop_block(kind)
+        # The block stays at the head of its lane until the fleet
+        # returns, so a dispatch that raises (e.g. every shard retired)
+        # loses no request: each stays queued and unbilled.
+        requests = self.queue.peek_block(kind)
         if not requests:
             return []
         block = np.stack([request.vector for request in requests], axis=1)
@@ -305,6 +307,7 @@ class FleetServer:
             out = self.fleet.matmat(block)
         else:
             out = self.fleet.rmatmat(block)
+        self.queue.pop_block(kind)
         after = self.fleet.stats
         delta = {
             key: int(after.get(key, 0)) - int(before.get(key, 0))

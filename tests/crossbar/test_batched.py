@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import CimAccelerator
-from repro.crossbar import CrossbarArray, CrossbarOperator
+from repro.crossbar import CrossbarOperator
 from repro.devices import PcmDevice
 
 
@@ -201,73 +201,6 @@ class TestCounterEquivalence:
         looped_rmatvec(looped, z_block)
         for key in self.COUNTER_KEYS:
             assert batched.stats[key] == looped.stats[key], key
-
-
-class TestChunkedNoise:
-    """Column-chunked noise mode: same distribution, bounded blocks."""
-
-    def make_array(self, noise_chunk=None, **device_kwargs):
-        g = np.random.default_rng(0).uniform(1e-6, 1e-4, (24, 16))
-        device = PcmDevice(prog_noise_sigma=0.0, **device_kwargs)
-        return CrossbarArray(g, device=device, noise_chunk=noise_chunk, seed=5)
-
-    def test_deterministic_reads_unaffected_by_chunking(self):
-        """With zero read noise the chunked path never engages; the
-        chunked and unchunked arrays agree bitwise."""
-        chunked = self.make_array(noise_chunk=3, read_noise_sigma=0.0)
-        plain = self.make_array(noise_chunk=None, read_noise_sigma=0.0)
-        block = np.random.default_rng(1).uniform(0.0, 0.2, (24, 10))
-        np.testing.assert_array_equal(chunked.mvm(block), plain.mvm(block))
-        block_t = np.random.default_rng(2).uniform(0.0, 0.2, (16, 10))
-        np.testing.assert_array_equal(chunked.mvm_t(block_t), plain.mvm_t(block_t))
-
-    def test_chunk_covering_batch_is_bitwise_the_full_draw(self):
-        """A chunk at least as large as B takes the single-block branch,
-        so the RNG draw shape — and the output — is unchanged."""
-        chunked = self.make_array(noise_chunk=64)
-        plain = self.make_array(noise_chunk=None)
-        block = np.random.default_rng(3).uniform(0.0, 0.2, (24, 10))
-        np.testing.assert_array_equal(chunked.mvm(block), plain.mvm(block))
-
-    def test_chunked_noise_stays_in_regime(self):
-        """Chunked draws are a different RNG realization of the same
-        distribution: per-column error vs the noise-free read stays in
-        the read-noise regime."""
-        chunked = self.make_array(noise_chunk=3)
-        quiet = self.make_array(read_noise_sigma=0.0)
-        block = np.random.default_rng(4).uniform(0.01, 0.2, (24, 32))
-        noisy = chunked.mvm(block)
-        clean = quiet.mvm(block)
-        errors = np.linalg.norm(noisy - clean, axis=0) / np.linalg.norm(
-            clean, axis=0
-        )
-        assert errors.max() < 0.05
-        # every chunk got its own draw: columns in different chunks differ
-        assert not np.array_equal(noisy[:, 0], noisy[:, 5])
-
-    def test_chunked_counters_match_unchunked(self):
-        chunked = self.make_array(noise_chunk=2)
-        plain = self.make_array()
-        block = np.random.default_rng(5).uniform(0.0, 0.2, (24, 7))
-        chunked.mvm(block)
-        plain.mvm(block)
-        assert chunked.n_col_reads == plain.n_col_reads == 7
-
-    def test_operator_threads_noise_chunk(self, rng):
-        matrix = rng.standard_normal((12, 20))
-        operator = CrossbarOperator(matrix, noise_chunk=2, seed=0)
-        x_block = rng.standard_normal((20, 9))
-        result = operator.matmat(x_block)
-        exact = matrix @ x_block
-        errors = np.linalg.norm(result - exact, axis=0) / np.linalg.norm(
-            exact, axis=0
-        )
-        assert errors.max() < 0.15
-        assert operator.stats["dac_conversions"] == 9 * 20
-
-    def test_rejects_bad_chunk(self):
-        with pytest.raises(ValueError):
-            self.make_array(noise_chunk=0)
 
 
 class TestValidation:

@@ -7,7 +7,7 @@ clips, applies IR drop to the noisy realization, and reads both arrays.
 These tests check that the two are the same distribution — moments and
 a KS test per output line, in both read directions — bound the two
 documented approximations over a sigma x wire-resistance grid, and pin
-the fused read's cache and chunked-noise contracts.
+the fused read's cache contract.
 """
 
 import numpy as np
@@ -20,16 +20,13 @@ from repro.devices import PcmDevice
 N_READS = 3000
 
 
-def make_pair(sigma=0.05, wire_resistance=0.0, shape=(16, 8), **array_kwargs):
+def make_pair(sigma=0.05, wire_resistance=0.0, shape=(16, 8)):
     """A noisy (G+, G-) pair sharing one RNG stream, as a tile pair does."""
     device = PcmDevice(prog_noise_sigma=0.0, read_noise_sigma=sigma, drift_nu=0.0)
     g = np.random.default_rng(1).uniform(device.g_min, device.g_max, (2, *shape))
     rng = np.random.default_rng(0)
     return tuple(
-        CrossbarArray(
-            g[i], device=device, wire_resistance=wire_resistance, seed=rng,
-            **array_kwargs,
-        )
+        CrossbarArray(g[i], device=device, wire_resistance=wire_resistance, seed=rng)
         for i in range(2)
     )
 
@@ -213,56 +210,44 @@ class TestValidation:
         assert positive.n_col_reads == quiet.n_col_reads == 0
 
 
-class TestChunkedFusedRead:
-    def test_chunked_read_is_the_sequence_of_its_chunks(self):
-        """A chunked read draws each chunk's noise in turn: it equals
-        unchunked reads of the chunks, one after the other."""
-        block = np.random.default_rng(5).uniform(0.0, 0.2, (16, 7))
-        chunked, chunked_minus = make_pair(noise_chunk=3)
-        plain, plain_minus = make_pair()
-        result = chunked.mvm(block, minus=chunked_minus)
-        for start in range(0, 7, 3):
-            expected = plain.mvm(block[:, start : start + 3], minus=plain_minus)
-            np.testing.assert_allclose(
-                result[:, start : start + 3], expected, rtol=1e-12, atol=1e-18
-            )
-        # and it is not the unchunked draw
-        whole, whole_minus = make_pair()
-        assert not np.allclose(result, whole.mvm(block, minus=whole_minus))
+class TestBlockDraw:
+    """A batched read draws the whole block's noise at once."""
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_same_stream_same_block_is_bitwise_reproducible(self, axis):
+        lines = (16, 8)[axis]
+        block = np.random.default_rng(5).uniform(0.0, 0.2, (lines, 7))
+        reads = []
+        for _ in range(2):
+            positive, negative = make_pair()
+            read = positive.mvm if axis == 0 else positive.mvm_t
+            reads.append(read(block, minus=negative))
+        np.testing.assert_array_equal(reads[0], reads[1])
+        # each column is its own read event with its own fluctuation
+        assert not np.array_equal(reads[0][:, 0], reads[0][:, 1])
 
     @pytest.mark.parametrize("tile_shape", [(1024, 1024), (8, 8)])
-    def test_operator_chunk_covering_batch_is_bitwise_unchunked(self, rng, tile_shape):
-        matrix = rng.standard_normal((12, 20))
-        x_block = rng.standard_normal((20, 9))
-        z_block = rng.standard_normal((12, 9))
-        results = []
-        for chunk in (None, 9, 64):
-            operator = CrossbarOperator(
-                matrix, tile_shape=tile_shape, noise_chunk=chunk, seed=0
-            )
-            results.append((operator.matmat(x_block), operator.rmatmat(z_block)))
-        for forward, transpose in results[1:]:
-            np.testing.assert_array_equal(forward, results[0][0])
-            np.testing.assert_array_equal(transpose, results[0][1])
-
-    @pytest.mark.parametrize("tile_shape", [(1024, 1024), (8, 8)])
-    def test_chunked_reads_bill_the_same_counters(self, rng, tile_shape):
+    def test_split_blocks_bill_the_same_counters(self, rng, tile_shape):
+        """Reading a block in one call or in two column slices bills the
+        same counters on the operator and on every array of every pair."""
         matrix = rng.standard_normal((12, 20))
         x_block = rng.standard_normal((20, 9))
         x_block[:, 4] = 0.0
         z_block = rng.standard_normal((12, 5))
-        operators = [
-            CrossbarOperator(matrix, tile_shape=tile_shape, noise_chunk=chunk, seed=0)
-            for chunk in (None, 2)
-        ]
-        for operator in operators:
-            operator.matmat(x_block)
-            operator.rmatmat(z_block)
-        plain, chunked = operators
-        assert chunked.stats == plain.stats
-        assert chunked.stats["dac_conversions"] == 8 * 20 + 5 * 12
-        for key, pair in chunked._tiles.items():
-            twin = plain._tiles[key]
+        whole, split = (
+            CrossbarOperator(matrix, tile_shape=tile_shape, seed=0)
+            for _ in range(2)
+        )
+        whole.matmat(x_block)
+        whole.rmatmat(z_block)
+        for columns in (slice(0, 3), slice(3, 9)):
+            split.matmat(x_block[:, columns])
+        for columns in (slice(0, 2), slice(2, 5)):
+            split.rmatmat(z_block[:, columns])
+        assert split.stats == whole.stats
+        assert whole.stats["dac_conversions"] == 8 * 20 + 5 * 12
+        for key, pair in split._tiles.items():
+            twin = whole._tiles[key]
             for array, reference in (
                 (pair.positive, twin.positive),
                 (pair.negative, twin.negative),

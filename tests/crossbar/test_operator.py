@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.crossbar import CrossbarOperator, DenseOperator
+from repro.crossbar import CrossbarOperator, DenseOperator, DifferentialCoding
 from repro.devices import PcmDevice
 
 
@@ -142,6 +142,26 @@ class TestRealisticCrossbar:
         assert stats["adc_conversions"] > 0
         assert stats["n_devices"] == 2 * small_matrix.size
 
+    @pytest.mark.parametrize("v_read", [0.1, 0.2])
+    @pytest.mark.parametrize("utilization", [0.5, 1.0])
+    def test_adc_headroom_is_four_line_norms(self, rng, v_read, utilization):
+        """Each ADC's full scale is four times the largest line L2-norm
+        of the stored matrix in volts-times-siemens: columns of the
+        stored A.T (rows of A) for matvec, its rows for rmatvec."""
+        matrix = rng.standard_normal((12, 20))
+        device = PcmDevice()
+        op = CrossbarOperator(
+            matrix, device=device, v_read=v_read, utilization=utilization,
+            seed=0,
+        )
+        coding = DifferentialCoding(device, utilization=utilization)
+        coding.encode(matrix.T)
+        unit = v_read * coding.scale
+        forward = 4.0 * unit * np.linalg.norm(matrix, axis=1).max()
+        transpose = 4.0 * unit * np.linalg.norm(matrix, axis=0).max()
+        assert op.adc_columns.full_scale == pytest.approx(forward, rel=1e-12)
+        assert op.adc_rows.full_scale == pytest.approx(transpose, rel=1e-12)
+
     def test_shape_validation(self, small_matrix):
         op = CrossbarOperator(small_matrix, seed=5)
         with pytest.raises(ValueError):
@@ -149,115 +169,19 @@ class TestRealisticCrossbar:
         with pytest.raises(ValueError):
             op.rmatvec(np.zeros(small_matrix.shape[1]))
 
-    def test_rejects_bad_full_scale_mode(self, small_matrix):
-        with pytest.raises(ValueError):
-            CrossbarOperator(small_matrix, full_scale_mode="bogus")
 
-
-class TestTileMaintenance:
-    """Per-tile staleness clocks, read heat and tile-scoped rewrites."""
-
-    def make_tiled(self, rng):
-        # A is (8, 10): stored as A.T -> 2 row spans over n=10 (input
-        # side of matvec) x 2 col spans over m=8 = 4 tiles.
+class TestMaintenanceClocks:
+    def test_whole_operator_maintenance_resets_every_clock(self, rng):
         matrix = rng.standard_normal((8, 10))
-        return CrossbarOperator(
+        op = CrossbarOperator(
             matrix, device=PcmDevice.ideal(), tile_shape=(5, 4), seed=3
         )
-
-    def test_fresh_operator_has_cold_zeroed_tiles(self, rng):
-        op = self.make_tiled(rng)
-        assert op.n_tiles == 4
-        assert set(op.tile_staleness) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-        assert all(value == 0.0 for value in op.tile_staleness.values())
-        assert all(value == 0 for value in op.tile_read_counts.values())
-        assert op.stale_hot_tiles() == []
-
-    def test_forward_reads_heat_row_spans_only(self, rng):
-        op = self.make_tiled(rng)
-        block = np.zeros((10, 3))
-        block[:5, :] = rng.standard_normal((5, 3))  # live in row span 0 only
-        block[:, 2] = 0.0  # a dead column heats nothing
-        op.matmat(block)
-        counts = op.tile_read_counts
-        assert counts[(0, 0)] == counts[(0, 1)] == 2
-        assert counts[(1, 0)] == counts[(1, 1)] == 0
-
-    def test_transpose_reads_heat_col_spans_only(self, rng):
-        op = self.make_tiled(rng)
-        z_block = np.zeros((8, 4))
-        z_block[4:, :] = rng.standard_normal((4, 4))  # live in col span 1
-        op.rmatmat(z_block)
-        counts = op.tile_read_counts
-        assert counts[(0, 1)] == counts[(1, 1)] == 4
-        assert counts[(0, 0)] == counts[(1, 0)] == 0
-
-    def test_single_vector_reads_count_too(self, rng):
-        op = self.make_tiled(rng)
-        op.matvec(rng.standard_normal(10))
-        op.rmatvec(rng.standard_normal(8))
-        counts = op.tile_read_counts
-        assert all(value == 2 for value in counts.values())
-
-    def test_whole_operator_maintenance_resets_every_clock(self, rng):
-        op = self.make_tiled(rng)
         op.advance_time(500.0)
-        assert all(value == 500.0 for value in op.tile_staleness.values())
+        assert op.staleness_seconds == 500.0
         op.calibrate(n_probes=4, seed=7)
-        assert all(value == 0.0 for value in op.tile_staleness.values())
+        assert op.staleness_seconds == 0.0
         assert op.age_seconds == 500.0  # calibration does not reset drift
         op.advance_time(100.0)
         op.reprogram()
-        assert all(value == 0.0 for value in op.tile_staleness.values())
-        assert op.age_seconds == 0.0  # reprogramming does
-
-    def test_reprogram_tiles_is_tile_scoped(self, rng):
-        op = self.make_tiled(rng)
-        op.advance_time(100.0)
-        pulses = op.reprogram_tiles([(0, 0), (1, 1)])
-        assert pulses > 0
-        staleness = op.tile_staleness
-        assert staleness[(0, 0)] == staleness[(1, 1)] == 0.0
-        assert staleness[(0, 1)] == staleness[(1, 0)] == 100.0
-        # the operator-level clock records the maintenance event...
         assert op.staleness_seconds == 0.0
-        # ...but age (device drift) and the digital gain are untouched
-        assert op.age_seconds == 100.0
-        assert op.n_tile_reprograms == 2
-        assert op.stats["n_tile_reprograms"] == 2
-
-    def test_reprogram_tiles_edge_cases(self, rng):
-        op = self.make_tiled(rng)
-        assert op.reprogram_tiles([]) == 0
-        assert op.n_tile_reprograms == 0
-        op.reprogram_tiles([(0, 0), (0, 0)])  # duplicates rewrite once
-        assert op.n_tile_reprograms == 1
-        with pytest.raises(ValueError, match="unknown tile"):
-            op.reprogram_tiles([(5, 0)])
-
-    def test_stale_hot_tiles_ranks_by_heat_then_key(self, rng):
-        op = self.make_tiled(rng)
-        block = np.zeros((10, 3))
-        block[:5, :] = rng.standard_normal((5, 3))  # heats row span 0
-        op.matmat(block)
-        z_block = np.zeros((8, 2))
-        z_block[:4, :] = rng.standard_normal((4, 2))  # heats col span 0
-        op.rmatmat(z_block)
-        op.advance_time(100.0)  # uniformly stale; heat decides the order
-        # heat: (0,0)=3+2=5, (0,1)=3, (1,0)=2, (1,1)=0; tie-free here
-        assert op.stale_hot_tiles() == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert op.stale_hot_tiles(budget=2) == [(0, 0), (0, 1)]
-        with pytest.raises(ValueError, match="budget"):
-            op.stale_hot_tiles(budget=0)
-
-    def test_stale_hot_tiles_prefers_ancient_idle_over_fresh_hot(self, rng):
-        op = self.make_tiled(rng)
-        op.advance_time(1000.0)
-        op.reprogram_tiles([(0, 0)])  # (0,0) fresh again
-        op.advance_time(1.0)
-        block = rng.standard_normal((10, 5))
-        op.matmat(block)  # heats every row span, (0,0) included
-        ranked = op.stale_hot_tiles()
-        # (0,0) is hot but nearly fresh (1 s); the 1001 s tiles lead
-        assert ranked[-1] == (0, 0)
-        assert set(ranked[:3]) == {(0, 1), (1, 0), (1, 1)}
+        assert op.age_seconds == 0.0  # reprogramming does

@@ -243,26 +243,85 @@ class TestCounterFidelity:
         )
 
 
+THRESHOLDS = (
+    "recalibrate_after_s",
+    "reprogram_after_s",
+    "gain_error_budget",
+    "gain_error_threshold",
+    "calibration_error_threshold",
+    "verify_error_budget",
+)
+
+
 class TestMaintenancePolicy:
-    def test_validation(self, rng):
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [({}, "at least one")]
+        + [
+            ({"recalibrate_after_s": 1.0, name: bad}, name)
+            for name in THRESHOLDS
+            for bad in (0.0, -1.0)
+        ]
+        + [
+            ({"recalibrate_after_s": 1.0, "n_probes": 0}, "n_probes"),
+            ({"recalibrate_after_s": 1.0, "verify_probes": 0}, "verify_probes"),
+            (
+                {"recalibrate_after_s": 1.0, "programming_iterations": 0},
+                "programming_iterations",
+            ),
+        ],
+    )
+    def test_validation(self, rng, kwargs, match):
         fleet = ShardedOperator.from_matrix(
             rng.standard_normal((4, 6)), n_shards=1, batch_window=2,
             backend="exact",
         )
-        with pytest.raises(ValueError, match="at least one"):
-            FleetMaintenance(fleet)
-        with pytest.raises(ValueError, match="recalibrate_after_s"):
-            FleetMaintenance(fleet, recalibrate_after_s=-1.0)
-        with pytest.raises(ValueError, match="gain_error_threshold"):
-            FleetMaintenance(
-                fleet, recalibrate_after_s=1.0, gain_error_threshold=0.0
-            )
-        with pytest.raises(ValueError, match="n_probes"):
-            FleetMaintenance(fleet, recalibrate_after_s=1.0, n_probes=0)
-        with pytest.raises(ValueError, match="programming_iterations"):
-            FleetMaintenance(
-                fleet, recalibrate_after_s=1.0, programming_iterations=0
-            )
+        with pytest.raises(ValueError, match=match):
+            FleetMaintenance(fleet, **kwargs)
+
+    def test_verify_budget_rewrites_the_whole_shard(self, rng):
+        """A verified rewrite is a whole-shard reprogram: the drift
+        clock and the gain reset, and the verify error is logged."""
+        fleet = ShardedOperator.from_matrix(
+            rng.standard_normal((8, 10)), n_shards=1, batch_window=2,
+            seed=2, tile_shape=(5, 4),
+        )
+        policy = FleetMaintenance(
+            fleet, reprogram_after_s=1e3, verify_error_budget=10.0, seed=3
+        )
+        fleet.advance_time(1e6)
+        (action,) = policy.sweep()
+        shard = fleet.shards[0]
+        assert action.action == "reprogram"
+        assert action.verify_error == shard.last_reprogram_error
+        assert action.verify_error <= 10.0
+        assert action.pulses > 0
+        assert shard.stats["n_reprograms"] == 1
+        assert shard.age_seconds == 0.0 and shard.staleness_seconds == 0.0
+        assert shard.gain == 1.0
+        assert policy.verify_probes == policy.n_probes  # the default
+
+    def test_rewrite_counters_stay_separable(self, rng):
+        """Serving plus maintenance counters sum to the fleet total,
+        key by key, when the service is a rewrite."""
+        fleet = ShardedOperator.from_matrix(
+            rng.standard_normal((8, 10)), n_shards=2, batch_window=2, seed=2
+        )
+        policy = FleetMaintenance(fleet, reprogram_after_s=1e3, seed=3)
+        stream = np.random.default_rng(5)
+        fleet.matmat(stream.standard_normal((10, 6)))
+        serving_before = fleet.stats
+        fleet.advance_time(1e6)
+        policy.sweep()
+        assert fleet.stats == {
+            key: serving_before.get(key, 0) + policy.stats.get(key, 0)
+            for key in fleet.stats
+        }
+        assert policy.stats["n_reprograms"] == 2
+        assert policy.stats["n_program_pulses"] == policy.n_program_pulses > 0
+        fleet.matmat(stream.standard_normal((10, 4)))
+        for key, value in policy.stats.items():
+            assert fleet.stats.get(key, 0) >= value
 
     def test_exact_shards_never_serviced(self, rng):
         matrix = rng.standard_normal((8, 10))
@@ -364,102 +423,3 @@ class TestHeterogeneousAges:
         # servicing the straggler closes the dispersion
         fleet.shards[1].calibrate(seed=3)
         assert fleet.gain_dispersion()["staleness_max_s"] == 0.0
-
-
-class TestTileBudgetPolicy:
-    """Tile-scoped maintenance: hot-tile-first rewrites under a budget."""
-
-    def drifted_policy(self, rng, tile_budget=1, **kwargs):
-        matrix = rng.standard_normal((8, 10))
-        fleet = ShardedOperator.from_matrix(
-            matrix,
-            n_shards=1,
-            batch_window=2,
-            seed=2,
-            tile_shape=(5, 4),  # 2 x 2 = 4 tiles per shard
-        )
-        policy = FleetMaintenance(
-            fleet,
-            reprogram_after_s=1e3,
-            tile_budget=tile_budget,
-            seed=3,
-            **kwargs,
-        )
-        return fleet, policy
-
-    def test_validation(self, rng):
-        fleet = ShardedOperator.from_matrix(
-            rng.standard_normal((4, 6)), n_shards=1, batch_window=2,
-            backend="exact",
-        )
-        with pytest.raises(ValueError, match="tile_budget"):
-            FleetMaintenance(fleet, recalibrate_after_s=1.0, tile_budget=0)
-        with pytest.raises(ValueError, match="tile_budget"):
-            FleetMaintenance(fleet, recalibrate_after_s=1.0, tile_budget=1.5)
-
-    def test_budgeted_sweep_rewrites_tiles_not_the_shard(self, rng):
-        fleet, policy = self.drifted_policy(rng, tile_budget=1)
-        shard = fleet.shards[0]
-        fleet.advance_time(1e6)
-        (action,) = policy.sweep()
-        assert action.action == "reprogram_tiles"
-        assert policy.n_tile_sweeps == 1
-        assert action.pulses > 0
-        # exactly one tile was rewritten; the shard was not
-        assert shard.n_tile_reprograms == 1
-        assert shard.stats["n_reprograms"] == 0
-        # a partial rewrite leaves device drift in place (age is not
-        # reset the way a whole-shard reprogram would) but records the
-        # maintenance event on the serving-staleness clock
-        assert shard.age_seconds == 1e6
-        assert shard.staleness_seconds == 0.0
-        # the trailing recalibration refit the digital gain over the
-        # mixed fresh/drifted tile set, and the action logs that gain
-        assert action.gain == pytest.approx(shard.gain)
-        assert shard.gain != 1.0
-        assert action.probes == policy.n_probes
-
-    def test_tile_sweep_restores_serving_accuracy(self, rng):
-        fleet, policy = self.drifted_policy(rng, tile_budget=4)
-        matrix = fleet.matrix
-        fleet.advance_time(1e7)
-        x = rng.standard_normal(10)
-        reference = matrix @ x
-        drifted = np.linalg.norm(fleet.shards[0].matvec(x) - reference)
-        (action,) = policy.sweep()
-        assert action.action == "reprogram_tiles"
-        assert fleet.shards[0].n_tile_reprograms == 4  # every tile hit
-        healed = np.linalg.norm(fleet.shards[0].matvec(x) - reference)
-        assert healed < drifted
-        assert healed / np.linalg.norm(reference) < 0.1
-
-    def test_verify_ladder_keeps_whole_shard_rewrites(self, rng):
-        """The verify-and-retire ladder measures whole-shard health, so
-        a verify budget forces whole-shard reprogramming even when a
-        tile budget is configured."""
-        fleet, policy = self.drifted_policy(
-            rng, tile_budget=1, verify_error_budget=10.0
-        )
-        fleet.advance_time(1e6)
-        (action,) = policy.sweep()
-        assert action.action == "reprogram"
-        assert action.verify_error is not None
-        assert policy.n_tile_sweeps == 0
-        assert fleet.shards[0].n_tile_reprograms == 0
-
-    def test_maintenance_counters_stay_separable(self, rng):
-        """The policy's counter deltas still split serving from
-        maintenance exactly when the rewrite is tile-scoped."""
-        fleet, policy = self.drifted_policy(rng, tile_budget=2)
-        stream = np.random.default_rng(5)
-        fleet.matmat(stream.standard_normal((10, 6)))
-        fleet.advance_time(1e6)
-        policy.sweep()
-        fleet.matmat(stream.standard_normal((10, 4)))
-        total = fleet.stats
-        maintenance = policy.stats
-        assert maintenance["n_tile_reprograms"] == 2
-        assert total["n_tile_reprograms"] == 2
-        # every maintenance-attributed counter is within the fleet total
-        for key, value in maintenance.items():
-            assert total.get(key, 0) >= value

@@ -89,6 +89,30 @@ class TestReleaseRule:
         assert queue.pop_block("matvec") == []
 
 
+class TestPeekBlock:
+    """``peek_block`` shows the next block without releasing it, so a
+    server can dispatch first and pop only once the fleet returns."""
+
+    def test_peek_is_the_block_pop_releases(self):
+        queue = RequestQueue(3, coalesce_budget_s=0.0)
+        for i in range(5):
+            queue.push(make_request(i))
+        peeked = queue.peek_block("matvec")
+        assert [r.id for r in peeked] == [0, 1, 2]
+        assert queue.pop_block("matvec") == peeked
+
+    def test_peek_leaves_the_lane_untouched(self):
+        queue = RequestQueue(2, coalesce_budget_s=1.0)
+        for i in range(3):
+            queue.push(make_request(i, arrival_s=float(i)))
+        queue.peek_block("matvec")
+        assert queue.lane_depth("matvec") == 3
+        assert queue.deadline_s("matvec") == pytest.approx(1.0)
+        assert queue.due("matvec", 0.0)
+        assert [r.id for r in queue.pop_block("matvec")] == [0, 1]
+        assert [r.id for r in queue.pop_block("matvec")] == [2]
+
+
 class TestDeadlines:
     def test_deadline_is_oldest_arrival_plus_budget(self):
         queue = RequestQueue(4, coalesce_budget_s=1.5)

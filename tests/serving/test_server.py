@@ -28,6 +28,48 @@ def fleet(small_matrix):
     )
 
 
+class FlakyFleet:
+    """A fleet whose listed dispatch calls (0-based) raise; every other
+    call, and ``stats``, goes to the wrapped fleet."""
+
+    def __init__(self, fleet, fail_on=(0,)):
+        self.fleet = fleet
+        self.fail_on = set(fail_on)
+        self.calls = 0
+        self.shape = fleet.shape
+        self.batch_window = fleet.batch_window
+
+    @property
+    def stats(self):
+        return self.fleet.stats
+
+    def _dispatch(self, product, block):
+        call = self.calls
+        self.calls += 1
+        if call in self.fail_on:
+            raise RuntimeError("dispatch failed")
+        return getattr(self.fleet, product)(block)
+
+    def matmat(self, block):
+        return self._dispatch("matmat", block)
+
+    def rmatmat(self, block):
+        return self._dispatch("rmatmat", block)
+
+
+def assert_conserved(server):
+    """Per tenant: every submission is served, shed, rejected or queued."""
+    queued = {}
+    for kind in ("matvec", "rmatvec"):
+        lane = server.queue._lanes[kind]
+        for request in lane:
+            queued[request.tenant] = queued.get(request.tenant, 0) + 1
+    for tenant in server.tenants:
+        entry = server.tenant_requests(tenant)
+        outcomes = entry["served"] + entry["shed"] + entry["rejected"]
+        assert entry["submitted"] == outcomes + queued.get(tenant, 0)
+
+
 def make_server(fleet, **kwargs):
     kwargs.setdefault("coalesce_budget_s", 1.0)
     kwargs.setdefault("window_service_s", 0.5)
@@ -227,6 +269,177 @@ class TestAdmission:
         victim = server.results[first.id]
         assert victim.status == "shed" and victim.value is None
         assert server.tenant_requests("default")["shed"] == 1
+
+
+class TestDispatchFailure:
+    def test_raising_dispatch_keeps_its_block_queued(self, fleet, rng):
+        """A fleet that raises mid-dispatch loses no request: the block
+        stays queued in order, nothing is billed, and every tenant's
+        ledger still balances."""
+        server = make_server(fleet)
+        fleet.retire_shard(0)
+        request = server.submit(rng.standard_normal(fleet.shape[1]), tenant="a")
+        fleet.retire_shard(1)
+        server.advance(1.0)  # past the coalesce budget: the block is due
+        stats_before = dict(fleet.stats)
+        with pytest.raises(RuntimeError, match="all shards are retired"):
+            server.step()
+        assert server.queue.depth == 1
+        entry = server.tenant_requests("a")
+        outcomes = entry["served"] + entry["shed"] + entry["rejected"]
+        assert entry["submitted"] == outcomes + server.queue.depth == 1
+        assert server.queue.peek_block("matvec") == [request]
+        assert request.id not in server.results
+        assert server.completed == [] and server.block_log == []
+        assert fleet.stats == stats_before
+        assert server.served_counters == {}
+        assert server.tenant_stats("a") == {
+            "n_matvec": 0,
+            "n_rmatvec": 0,
+            "dac_conversions": 0,
+            "adc_conversions": 0,
+        }
+
+
+    @pytest.mark.parametrize("kind", ["matvec", "rmatvec"])
+    def test_retired_fleet_keeps_either_lane_queued(self, fleet, rng, kind):
+        server = make_server(fleet)
+        rows = fleet.shape[1] if kind == "matvec" else fleet.shape[0]
+        requests = [
+            server.submit(rng.standard_normal(rows), tenant=t, kind=kind)
+            for t in ("a", "b", "a")
+        ]
+        fleet.retire_shard(0)
+        fleet.retire_shard(1)
+        server.advance(1.0)
+        stats_before = dict(fleet.stats)
+        with pytest.raises(RuntimeError, match="all shards are retired"):
+            server.step()
+        assert server.queue.peek_block(kind) == requests
+        assert server.queue.depth == 3
+        assert fleet.stats == stats_before
+        assert server.completed == [] and server.block_log == []
+        assert_conserved(server)
+
+    def test_retry_serves_the_kept_block_in_order(self, fleet, rng):
+        flaky = FlakyFleet(fleet, fail_on={0})
+        server = make_server(flaky)
+        n = fleet.shape[1]
+        vectors = [rng.standard_normal(n) for _ in range(3)]
+        requests = [
+            server.submit(vector, tenant=tenant)
+            for vector, tenant in zip(vectors, ("a", "b", "a"))
+        ]
+        server.advance(1.0)
+        stats_before = dict(fleet.stats)
+        with pytest.raises(RuntimeError, match="dispatch failed"):
+            server.step()
+        served = server.step()
+        assert [result.request for result in served] == requests
+        for result, vector in zip(served, vectors):
+            np.testing.assert_allclose(result.value, fleet.matrix @ vector)
+        (block,) = server.block_log
+        assert block.block_id == 0
+        assert block.request_ids == tuple(r.id for r in requests)
+        assert all(result.block_id == 0 for result in served)
+        delta = {
+            key: value - stats_before.get(key, 0)
+            for key, value in fleet.stats.items()
+            if value != stats_before.get(key, 0)
+        }
+        assert server.served_counters == delta
+        assert_conserved(server)
+
+    def test_failed_attempt_does_not_occupy_the_service_line(self, fleet, rng):
+        server = make_server(FlakyFleet(fleet, fail_on={0}))
+        server.submit(rng.standard_normal(fleet.shape[1]))
+        server.advance(1.0)
+        with pytest.raises(RuntimeError):
+            server.step()
+        (result,) = server.step()
+        assert result.dispatched_at_s == pytest.approx(1.0)
+        assert result.completed_at_s == pytest.approx(1.5)
+        assert result.queue_latency_s == pytest.approx(1.0)
+
+    def test_failure_keeps_the_coalesce_deadline(self, fleet, rng):
+        server = make_server(FlakyFleet(fleet, fail_on={0}))
+        server.submit(rng.standard_normal(fleet.shape[1]))
+        server.advance(0.25)
+        server.submit(rng.standard_normal(fleet.shape[1]))
+        deadline = server.next_deadline_s()
+        server.advance(1.0)
+        with pytest.raises(RuntimeError):
+            server.step()
+        assert server.next_deadline_s() == deadline == pytest.approx(1.0)
+        assert server.queue.due("matvec", server.clock.now())
+
+    def test_failure_mid_backlog_keeps_the_unserved_tail(self, fleet, rng):
+        server = make_server(FlakyFleet(fleet, fail_on={1}))
+        n = fleet.shape[1]
+        requests = [server.submit(rng.standard_normal(n)) for _ in range(10)]
+        with pytest.raises(RuntimeError):
+            server.step()
+        # the first full block went through before the second one raised
+        assert [r.request for r in server.completed] == requests[:4]
+        assert [b.request_ids for b in server.block_log] == [(0, 1, 2, 3)]
+        assert server.queue.peek_block("matvec") == requests[4:8]
+        assert server.queue.depth == 6
+        assert_conserved(server)
+        server.flush()
+        assert [b.request_ids for b in server.block_log] == [
+            (0, 1, 2, 3), (4, 5, 6, 7), (8, 9),
+        ]
+        assert [r.request for r in server.completed] == requests
+        assert_conserved(server)
+
+    def test_flush_failure_leaves_both_lanes_queued(self, fleet, rng):
+        server = make_server(FlakyFleet(fleet, fail_on={0}))
+        m, n = fleet.shape
+        server.submit(rng.standard_normal(n), kind="matvec")
+        server.submit(rng.standard_normal(m), kind="rmatvec")
+        with pytest.raises(RuntimeError):
+            server.flush()
+        assert server.queue.lane_depth("matvec") == 1
+        assert server.queue.lane_depth("rmatvec") == 1
+        served = server.flush()
+        assert sorted(r.request.kind for r in served) == ["matvec", "rmatvec"]
+        assert server.queue.depth == 0
+
+    def test_replay_failure_keeps_the_trace_accounted(self, fleet, rng):
+        server = make_server(FlakyFleet(fleet, fail_on={1}))
+        n = fleet.shape[1]
+        events = [
+            (0.1 * i, "ab"[i % 2], "matvec", rng.standard_normal(n))
+            for i in range(9)
+        ]
+        with pytest.raises(RuntimeError):
+            server.replay(events)
+        assert len(server.completed) == 4
+        assert_conserved(server)
+        submitted = sum(
+            server.tenant_requests(t)["submitted"] for t in server.tenants
+        )
+        assert submitted == len(server.completed) + server.queue.depth
+
+    def test_failure_after_shedding_conserves_every_tenant(self, fleet, rng):
+        server = make_server(
+            FlakyFleet(fleet, fail_on={0}),
+            admission=AdmissionController(2, policy="shed_oldest"),
+        )
+        n = fleet.shape[1]
+        for tenant in ("a", "b", "a"):
+            server.submit(rng.standard_normal(n), tenant=tenant)
+        assert server.tenant_requests("a")["shed"] == 1
+        server.advance(1.0)
+        with pytest.raises(RuntimeError):
+            server.step()
+        assert server.queue.depth == 2
+        assert_conserved(server)
+        server.step()
+        assert server.queue.depth == 0
+        assert server.tenant_requests("a")["served"] == 1
+        assert server.tenant_requests("b")["served"] == 1
+        assert_conserved(server)
 
 
 class TestLargestRemainder:

@@ -196,38 +196,3 @@ class TestScheduling:
                 merged.get(key, 0) + policy_stats.get(key, 0)
                 == fleet_stats.get(key, 0)
             )
-
-
-class TestTileScopedSlots:
-    def test_window_slot_runs_a_tile_scoped_rewrite(self, rng):
-        """A tile-budgeted policy serviced through a maintenance window
-        logs ``reprogram_tiles`` actions in the slot, with the fleet
-        still serving (the shard is never wholly rewritten)."""
-        matrix = rng.standard_normal((10, 6)) / 4.0
-        fleet = ShardedOperator.from_matrix(
-            matrix,
-            n_shards=2,
-            batch_window=3,
-            backend="crossbar",
-            seed=5,
-            tile_shape=(3, 5),  # 2 x 2 tiles per shard
-        )
-        policy = FleetMaintenance(
-            fleet, reprogram_after_s=100.0, tile_budget=1, attach=False, seed=7
-        )
-        window = MaintenanceWindow(fleet, policy)
-        server = make_server(fleet, window)
-        # wall-clock trigger (no gain forecast): age past the deadline
-        server.advance(101.0)
-        assert window.seconds_until_due() == 0.0
-        server.submit(rng.standard_normal(6))
-        server.step()
-        server.advance(0.2)
-        server.step()
-        server.step()  # queue idle: the slot runs
-        assert len(window.slots) == 1
-        slot = window.slots[0]
-        assert {action.action for action in slot.actions} == {"reprogram_tiles"}
-        assert policy.n_tile_sweeps == 2  # both shards tile-serviced
-        assert all(s.n_tile_reprograms == 1 for s in fleet.shards)
-        assert all(s.stats["n_reprograms"] == 0 for s in fleet.shards)
