@@ -180,8 +180,8 @@ print(
 # drifts out of calibration and recovery quality collapses.  Attaching
 # a FleetMaintenance policy recalibrates shards whose staleness crosses
 # the limit, between dispatch windows (a reprogram_after_s /
-# gain_error_threshold would additionally escalate deep drift to a full
-# rewrite) — and the bill splits into readout vs maintenance because
+# calibration_error_threshold would additionally escalate deep drift to
+# a full rewrite) — and the bill splits into readout vs maintenance because
 # the policy captures the counter deltas of every action.
 stale = ShardedOperator.from_matrix(
     big_fleet.matrix, n_shards=3, batch_window=16,

@@ -47,6 +47,10 @@ __all__ = [
     "LifetimeSimulator",
 ]
 
+# Forecasts further out than this (~100 years) count as "never": drift
+# has a finite power-law ceiling, so some budgets are never reached.
+_FORECAST_HORIZON_S = 3.2e9
+
 
 class DriftPredictor:
     """Forecast the scalar gain drift of a differential PCM array.
@@ -166,7 +170,6 @@ class DriftPredictor:
         budget: float,
         age_seconds: float = 0.0,
         calibrated_at_s: float | None = None,
-        horizon_s: float = 3.2e9,
     ) -> float:
         """Seconds from now until the forecast error reaches ``budget``.
 
@@ -174,9 +177,9 @@ class DriftPredictor:
         ``calibrated_at_s`` the age of the gain fit in effect (default:
         calibrated right now).  The error is monotone in elapsed time,
         so the crossing is bracketed geometrically and bisected; if the
-        budget is not reached within ``horizon_s`` (~100 years by
-        default — drift has a finite power-law ceiling) the answer is
-        ``inf``: the array will *never* need another drift calibration.
+        budget is not reached within ~100 years (drift has a finite
+        power-law ceiling) the answer is ``inf``: the array will
+        *never* need another drift calibration.
         This is the schedule the predictive maintenance trigger walks:
         each interval is a constant factor longer than the last.
         """
@@ -191,7 +194,7 @@ class DriftPredictor:
         while self.gain_error(high, calibrated_at_s) < budget:
             low, step = high, step * 2.0
             high = age_seconds + step
-            if high - age_seconds > horizon_s:
+            if high - age_seconds > _FORECAST_HORIZON_S:
                 return math.inf
         for _ in range(60):
             mid = 0.5 * (low + high)
@@ -228,7 +231,8 @@ class FaultInjector:
 
     Each shard independently suffers fault events at ``rate_per_s``
     (expected events per shard-second); each event sticks a random
-    ``fraction_per_event`` of the shard's devices at RESET/SET via
+    ``fraction_per_event`` of the shard's devices, each at RESET or SET
+    with equal odds, via
     :meth:`~repro.crossbar.CrossbarOperator.inject_stuck_faults` —
     permanent, composing, rewrite-surviving.  Retired shards and
     fault-free exact replicas are skipped.  A zero-rate injector
@@ -243,9 +247,6 @@ class FaultInjector:
         Expected fault events per shard per simulated second.
     fraction_per_event:
         Device fraction stuck by one event, in ``(0, 1]``.
-    mode:
-        Stuck polarity — ``"low"``, ``"high"`` or ``"both"`` (see
-        :func:`~repro.crossbar.nonidealities.apply_stuck_faults`).
     seed:
         RNG seed or generator for arrival counts and fault draws.
     """
@@ -255,7 +256,6 @@ class FaultInjector:
         fleet,
         rate_per_s: float,
         fraction_per_event: float = 1e-3,
-        mode: str = "both",
         seed: int | np.random.Generator | None = None,
     ) -> None:
         if rate_per_s < 0:
@@ -265,7 +265,6 @@ class FaultInjector:
         self.fleet = fleet
         self.rate_per_s = float(rate_per_s)
         self.fraction_per_event = float(fraction_per_event)
-        self.mode = mode
         self._rng = as_rng(seed)
         self.time_s = 0.0
         self.events: list[FaultEvent] = []
@@ -291,7 +290,7 @@ class FaultInjector:
                 continue
             for _ in range(int(self._rng.poisson(expected))):
                 count = shard.inject_stuck_faults(
-                    self.fraction_per_event, self.mode, self._rng
+                    self.fraction_per_event, "both", self._rng
                 )
                 new.append(
                     FaultEvent(

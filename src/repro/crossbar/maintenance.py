@@ -30,14 +30,13 @@ batched or per-vector dispatch) and services each shard whose staleness
   predictive intervals stretch geometrically with age where a fixed
   wall clock keeps probing at the early-life cadence forever — same
   NMSE envelope, far fewer probes;
-* ``gain_error_threshold`` escalates a calibration whose fitted gain
-  lands further than this from unity into an immediate reprogram — the
-  policy's "scalar compensation is no longer enough" rule;
-* ``calibration_error_threshold`` escalates on the *residual* error
-  after the gain fit — the signal that catches non-scalar damage
-  (stuck faults, drift dispersion) that a digital gain cannot hide;
+* ``calibration_error_threshold`` escalates a calibration into an
+  immediate reprogram when the *residual* error after the gain fit
+  exceeds it — the "scalar compensation is no longer enough" rule,
+  which catches non-scalar damage (stuck faults, drift dispersion)
+  that a digital gain cannot hide;
 * ``verify_error_budget`` closes the escalation ladder: every
-  reprogram is verified with ``verify_probes`` random probes against
+  reprogram is verified with ``n_probes`` random probes against
   the stored target, and a shard whose rewrite cannot reach the budget
   (stuck faults make the error floor irreducible) is **retired** —
   :meth:`ShardedOperator.retire_shard` takes it out of rotation and
@@ -133,40 +132,28 @@ class FleetMaintenance:
     gain_error_budget:
         Predictive trigger: the shard is recalibrated as soon as the
         drift model forecasts its uncompensated gain error at or above
-        this budget.  At least one of the three triggers is required.
-    predictor:
-        Drift forecaster for the predictive trigger: ``"auto"``
-        (default) builds one
+        this budget.  The forecast comes from one
         :class:`~repro.crossbar.lifetime.DriftPredictor` per physical
-        shard from its own device model and target conductances; an
-        explicit :class:`DriftPredictor` instance is shared by every
-        shard.  Ignored unless ``gain_error_budget`` is set.
-    gain_error_threshold:
-        If the fitted calibration gain lands further than this from
-        unity, the calibration escalates to a reprogram.
+        shard, built from its own device model and target
+        conductances.  At least one of the three triggers is required.
     calibration_error_threshold:
         If the *residual* relative error after the gain fit
         (``shard.last_calibration_error``) exceeds this, the
         calibration escalates to a reprogram — the trigger that catches
         stuck faults and other non-scalar damage.
-    verify_probes:
-        Probe vectors for the post-reprogram verify step (defaults to
-        ``n_probes`` when a ``verify_error_budget`` is set).
     verify_error_budget:
         Relative read error every reprogram must verify below; a shard
         that cannot hit it is retired from the fleet.  ``None``
         disables verify and retirement.
     n_probes:
-        Probe vectors per calibration (as in ``calibrate``).
-    programming_iterations:
-        Verify rounds per reprogram (``None`` keeps each shard's
-        construction-time setting).
+        Probe vectors per calibration and per post-reprogram verify.
     seed:
         RNG seed or generator for the calibration/verify probes.
-    attach:
-        Register this policy as ``fleet.maintenance`` so the fleet runs
-        :meth:`sweep` between dispatch windows (default).  Pass
-        ``False`` to drive sweeps manually.
+
+    The policy registers itself as ``fleet.maintenance``, so the fleet
+    runs :meth:`sweep` before every dispatch; calling :meth:`sweep`
+    directly services whatever is due at that moment.  A reprogram
+    keeps each shard's construction-time programming iterations.
     """
 
     def __init__(
@@ -175,15 +162,10 @@ class FleetMaintenance:
         recalibrate_after_s: float | None = None,
         reprogram_after_s: float | None = None,
         gain_error_budget: float | None = None,
-        predictor: object = "auto",
-        gain_error_threshold: float | None = None,
         calibration_error_threshold: float | None = None,
-        verify_probes: int | None = None,
         verify_error_budget: float | None = None,
         n_probes: int = 8,
-        programming_iterations: int | None = None,
         seed: int | np.random.Generator | None = None,
-        attach: bool = True,
     ) -> None:
         if (
             recalibrate_after_s is None
@@ -198,7 +180,6 @@ class FleetMaintenance:
             ("recalibrate_after_s", recalibrate_after_s),
             ("reprogram_after_s", reprogram_after_s),
             ("gain_error_budget", gain_error_budget),
-            ("gain_error_threshold", gain_error_threshold),
             ("calibration_error_threshold", calibration_error_threshold),
             ("verify_error_budget", verify_error_budget),
         ):
@@ -206,36 +187,23 @@ class FleetMaintenance:
                 raise ValueError(f"{name} must be positive or None")
         if n_probes < 1:
             raise ValueError("n_probes must be >= 1")
-        if verify_probes is not None and verify_probes < 1:
-            raise ValueError("verify_probes must be >= 1 or None")
-        if programming_iterations is not None and programming_iterations < 1:
-            raise ValueError("programming_iterations must be >= 1 or None")
         self.fleet = fleet
         self.recalibrate_after_s = recalibrate_after_s
         self.reprogram_after_s = reprogram_after_s
         self.gain_error_budget = gain_error_budget
-        self.predictor = predictor
-        self.gain_error_threshold = gain_error_threshold
         self.calibration_error_threshold = calibration_error_threshold
         self.verify_error_budget = verify_error_budget
-        self.verify_probes = (
-            int(verify_probes) if verify_probes is not None else int(n_probes)
-        )
         self.n_probes = int(n_probes)
-        self.programming_iterations = programming_iterations
         self._rng = as_rng(seed)
         self._sweep_lock = threading.Lock()
         self.actions: list[MaintenanceAction] = []
         self._stats: dict[str, int] = {key: 0 for key in _REQUIRED_STAT_KEYS}
         self._shard_predictors: dict[int, object] = {}
-        if attach:
-            fleet.maintenance = self
+        fleet.maintenance = self
 
     # -- policy ----------------------------------------------------------------
     def _predictor_for(self, shard):
         """The drift forecaster serving one shard (``None`` if n/a)."""
-        if self.predictor != "auto":
-            return self.predictor
         key = id(shard)
         if key not in self._shard_predictors:
             from repro.crossbar.lifetime import DriftPredictor
@@ -359,13 +327,9 @@ class FleetMaintenance:
         out of rotation.
         """
         if self.verify_error_budget is None:
-            shard.reprogram(self.programming_iterations)
+            shard.reprogram()
             return "reprogram", None
-        shard.reprogram(
-            self.programming_iterations,
-            verify_probes=self.verify_probes,
-            verify_seed=self._rng,
-        )
+        shard.reprogram(verify_probes=self.n_probes, verify_seed=self._rng)
         verify_error = float(shard.last_reprogram_error)
         if verify_error > self.verify_error_budget:
             retire = getattr(self.fleet, "retire_shard", None)
@@ -385,9 +349,6 @@ class FleetMaintenance:
                 gain = shard.calibrate(n_probes=self.n_probes, seed=self._rng)
                 residual = getattr(shard, "last_calibration_error", None)
                 escalate = (
-                    self.gain_error_threshold is not None
-                    and abs(gain - 1.0) > self.gain_error_threshold
-                ) or (
                     self.calibration_error_threshold is not None
                     and residual is not None
                     and residual > self.calibration_error_threshold

@@ -10,8 +10,8 @@ routes all of them through one SQLite-backed store:
     the process-wide *active store* that report functions auto-persist
     into.
 ``queries``
-    :class:`DataProvider` — latest-run lookup, metric history across
-    runs, cross-run trend frames.
+    :class:`DataProvider` — latest-run lookup and metric history
+    across runs.
 ``report_builder``
     Regenerates every persisted text report byte-for-byte from the
     database, builds the cross-PR trend report, and diffs gated
@@ -19,8 +19,7 @@ routes all of them through one SQLite-backed store:
 
 Layout follows the SimCash paper-builder pattern: report sections pull
 from a ``DataProvider`` over persisted experiment runs instead of
-re-running experiments or re-parsing text files.  The serving layer's
-per-tenant billing reports are expected to reuse the same substrate.
+re-running experiments or re-parsing text files.
 """
 
 from repro.results.store import (

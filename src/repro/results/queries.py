@@ -1,9 +1,8 @@
 """The query layer over the experiment store: a ``DataProvider``.
 
-Report builders, the CI history-diff gate, and (soon) the serving
-layer's billing reports never touch SQL — they ask a
-:class:`DataProvider` for latest runs, metric histories ordered across
-runs, and cross-run trend frames.
+Report builders and the CI history-diff gate never touch SQL — they
+ask a :class:`DataProvider` for latest runs and metric histories
+ordered across runs.
 """
 
 from __future__ import annotations
@@ -134,29 +133,6 @@ class DataProvider:
             MetricPoint(row["id"], row["created_at"], row["git_sha"], row["value"])
             for row in rows
         ]
-
-    def trend_frame(
-        self, name: str, metrics: list[str] | None = None
-    ) -> list[dict]:
-        """One row per run of ``name`` (oldest first) with metric columns.
-
-        ``metrics`` restricts the columns; by default every metric the
-        runs recorded appears.  Missing values are ``None`` so frames
-        stay rectangular across schema growth.
-        """
-        frame = []
-        for run in self.runs(name):
-            values = self.metrics(run.id)
-            names = metrics if metrics is not None else sorted(values)
-            row = {
-                "run_id": run.id,
-                "created_at": run.created_at,
-                "git_sha": run.git_sha,
-            }
-            for metric in names:
-                row[metric] = values.get(metric)
-            frame.append(row)
-        return frame
 
     # -- artifacts -----------------------------------------------------
 

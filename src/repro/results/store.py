@@ -314,16 +314,6 @@ class ResultsStore:
     def connection(self) -> sqlite3.Connection:
         return self._conn
 
-    def snapshot_to(self, path: str | Path) -> "ResultsStore":
-        """Copy the whole store to ``path`` (overwriting it)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if path.exists():
-            path.unlink()
-        target = ResultsStore(path)
-        self._conn.backup(target._conn)
-        return target
-
     def close(self) -> None:
         self._conn.close()
 

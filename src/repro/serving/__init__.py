@@ -4,10 +4,10 @@ The crossbar stack below this package answers *"how fast/cheap is one
 ``(n, B)`` dispatch?"*; this package answers *"what does the fleet look
 like as a shared service?"* — many independent clients submitting
 single vectors, coalesced into full readout windows under a latency
-budget, with admission control at the door, drift maintenance scheduled
-into traffic lulls from the lifetime model's forecasts, and per-tenant
-metering that bills each workload through the same experiment store as
-every benchmark.
+budget, with admission control at the door and per-tenant metering of the
+fleet's counters.  Drift maintenance under serving is the fleet's own
+attached :class:`~repro.crossbar.FleetMaintenance` policy; its
+probes and pulses land in ``policy.stats``, never in a tenant's bill.
 
 Layering:
 
@@ -18,10 +18,7 @@ Layering:
   :class:`AdmissionController` overload behaviour.
 * :mod:`~repro.serving.server` — :class:`FleetServer`, the synchronous
   core: dispatch, demux, latency/SLO tracking, largest-remainder
-  per-tenant counter attribution, ``kind="billing"`` store rows.
-* :mod:`~repro.serving.windows` — :class:`MaintenanceWindow`,
-  drift-forecast scheduling of :class:`FleetMaintenance` sweeps into
-  low-traffic slots on the shared service line.
+  per-tenant counter attribution.
 """
 
 from repro.serving.clock import VirtualClock
@@ -34,7 +31,6 @@ from repro.serving.queue import (
     RequestResult,
 )
 from repro.serving.server import BlockDispatch, FleetServer
-from repro.serving.windows import MaintenanceSlot, MaintenanceWindow
 
 __all__ = [
     "ADMISSION_POLICIES",
@@ -42,8 +38,6 @@ __all__ = [
     "AdmissionController",
     "BlockDispatch",
     "FleetServer",
-    "MaintenanceSlot",
-    "MaintenanceWindow",
     "Request",
     "RequestQueue",
     "RequestResult",

@@ -25,9 +25,11 @@ columns (largest-remainder split, so per-tenant integer counters sum
 *exactly* to the fleet's merged counters).  ``tenant_stats`` hands each
 tenant a stats dict that
 :meth:`~repro.energy.CrossbarCostModel.energy_from_stats` prices
-directly, and :meth:`record_billing` writes one ``kind="billing"`` run
-row per tenant through the experiment store — invoices share the query
-path of every other result in the repo.
+directly.  A :class:`~repro.crossbar.FleetMaintenance` policy attached
+to the fleet sweeps inside dispatch; its counter deltas are taken out
+of the block's delta before attribution, so tenants never pay for
+calibration probes or rewrite pulses:
+``served_counters + policy.stats`` is the fleet's counter delta.
 
 An idle server is free: constructing one touches nothing but the
 fleet's shape, so a fleet with a server attached but no traffic stays
@@ -142,11 +144,6 @@ class FleetServer:
     admission:
         Optional :class:`AdmissionController`; ``None`` serves an
         unbounded queue.
-    maintenance:
-        Optional :class:`~repro.serving.windows.MaintenanceWindow`;
-        when set, every :meth:`step` offers it the server first, so
-        maintenance probes/pulses occupy the same service line the
-        requests queue for.
     """
 
     def __init__(
@@ -159,7 +156,6 @@ class FleetServer:
         window_service_s: float = 1.0,
         slo_s: float | dict[str, float] | None = None,
         admission: AdmissionController | None = None,
-        maintenance=None,
     ) -> None:
         self.fleet = fleet
         self.clock = clock if clock is not None else VirtualClock()
@@ -169,9 +165,6 @@ class FleetServer:
         self.queue = RequestQueue(block_columns, coalesce_budget_s)
         self.slo_s = slo_s
         self.admission = admission
-        self.maintenance = maintenance
-        if maintenance is not None:
-            maintenance.bind(self)
         self._next_id = 0
         self._busy_until_s = -math.inf
         self.results: dict[int, RequestResult] = {}
@@ -266,16 +259,11 @@ class FleetServer:
     def step(self) -> list[RequestResult]:
         """Serve everything due at the current clock time.
 
-        A due maintenance window runs first (its probes and pulses
-        seize the service line, delaying the blocks behind it — the
-        "maintenance reads are not free" contract), then each lane
-        releases blocks while full ones are waiting or its oldest
-        request has exhausted the coalesce budget.  Returns the results
-        completed by this call, in dispatch order.
+        Each lane releases blocks while full ones are waiting or its
+        oldest request has exhausted the coalesce budget.  Returns the
+        results completed by this call, in dispatch order.
         """
         served: list[RequestResult] = []
-        if self.maintenance is not None:
-            self.maintenance.maybe_run(self)
         now = self.clock.now()
         for kind in REQUEST_KINDS:
             while self.queue.due(kind, now):
@@ -283,11 +271,8 @@ class FleetServer:
         return served
 
     def flush(self) -> list[RequestResult]:
-        """Dispatch every queued request now, budgets notwithstanding.
-
-        End-of-trace drain; maintenance still gets its look first via
-        the normal :meth:`step` path.
-        """
+        """Dispatch every queued request now, budgets notwithstanding
+        (the end-of-trace drain)."""
         served = self.step()
         for kind in REQUEST_KINDS:
             while self.queue.lane_depth(kind):
@@ -302,18 +287,24 @@ class FleetServer:
         if not requests:
             return []
         block = np.stack([request.vector for request in requests], axis=1)
+        # An attached maintenance policy sweeps inside the dispatch; its
+        # share of the counter delta is upkeep, not tenant traffic.
+        policy = getattr(self.fleet, "maintenance", None)
         before = dict(self.fleet.stats)
+        policy_before = policy.stats if policy is not None else {}
         if kind == "matvec":
             out = self.fleet.matmat(block)
         else:
             out = self.fleet.rmatmat(block)
         self.queue.pop_block(kind)
         after = self.fleet.stats
-        delta = {
-            key: int(after.get(key, 0)) - int(before.get(key, 0))
-            for key in after.keys() | before.keys()
-            if after.get(key, 0) != before.get(key, 0)
-        }
+        policy_after = policy.stats if policy is not None else {}
+        delta = {}
+        for key in after.keys() | before.keys():
+            value = int(after.get(key, 0)) - int(before.get(key, 0))
+            value -= policy_after.get(key, 0) - policy_before.get(key, 0)
+            if value:
+                delta[key] = value
 
         now = self.clock.now()
         start = max(now, self._busy_until_s)
@@ -368,8 +359,8 @@ class FleetServer:
         Logical read counts split by each tenant's column count; every
         other counter (conversions, live reads) by its live columns.
         Largest-remainder keeps the split integral and exactly summing
-        to the fleet delta, so merged tenant ledgers always equal the
-        fleet's own counters for the served traffic.
+        to the block's served delta, so merged tenant ledgers always
+        equal the fleet's own counters for the served traffic.
         """
         column_weights: dict[str, int] = {}
         live_weights: dict[str, int] = {}
@@ -392,16 +383,16 @@ class FleetServer:
                     ledger[key] = ledger.get(key, 0) + share
 
     # -- time ------------------------------------------------------------------
-    def advance(self, seconds: float, *, age_fleet: bool = True) -> float:
-        """Advance the serving clock (and, by default, the fleet's
-        drift clocks in lockstep) — the simulation's single time axis,
-        so maintenance forecasts and coalesce deadlines share it.
-        Returns the new time."""
-        if age_fleet and hasattr(self.fleet, "advance_time"):
+    def advance(self, seconds: float) -> float:
+        """Advance the serving clock and the fleet's drift clocks in
+        lockstep — the simulation's single time axis, so maintenance
+        thresholds and coalesce deadlines share it.  Returns the new
+        time."""
+        if hasattr(self.fleet, "advance_time"):
             self.fleet.advance_time(seconds)
         return self.clock.advance(seconds)
 
-    def replay(self, events, *, drain: bool = True) -> list[RequestResult]:
+    def replay(self, events) -> list[RequestResult]:
         """Drive a whole arrival trace deterministically.
 
         ``events`` is an iterable of ``(at_s, tenant, kind, vector)``
@@ -409,7 +400,7 @@ class FleetServer:
         every coalesce deadline on the way to each arrival (so partial
         blocks dispatch exactly when their budget expires, not when the
         next request happens to show up), each arrival submits and
-        steps, and ``drain=True`` flushes the tail.  Same trace, same
+        steps, and the tail drains the same way.  Same trace, same
         clock start ⇒ same block log, bit for bit.
         """
         for at_s, tenant, kind, vector in events:
@@ -428,14 +419,13 @@ class FleetServer:
             self.advance(at_s - self.clock.now())
             self.submit(vector, tenant=tenant, kind=kind)
             self.step()
-        if drain:
-            while True:
-                deadline = self.next_deadline_s()
-                if deadline is None:
-                    break
-                self.advance(deadline - self.clock.now())
-                self.step()
-            self.flush()
+        while True:
+            deadline = self.next_deadline_s()
+            if deadline is None:
+                break
+            self.advance(deadline - self.clock.now())
+            self.step()
+        self.flush()
         return list(self.completed)
 
     # -- accounting ------------------------------------------------------------
@@ -515,44 +505,6 @@ class FleetServer:
                 }
             )
         return out
-
-    def record_billing(self, store, cost_model, *, config=None) -> list[int]:
-        """Write one ``kind="billing"`` run row per tenant to ``store``.
-
-        Each row carries the tenant's counter ledger, its
-        ``energy_from_stats`` bill and its latency summary — the same
-        store every bench and report writes, so invoices trend across
-        PRs like any other metric.  Returns the run ids.
-        """
-        run_ids = []
-        base_config = dict(config or {})
-        base_config.setdefault("block_columns", self.queue.block_columns)
-        base_config.setdefault("coalesce_budget_s", self.queue.coalesce_budget_s)
-        for tenant in self.tenants:
-            stats = self.tenant_stats(tenant)
-            bill = cost_model.energy_from_stats(stats)
-            metrics: dict[str, float] = {
-                f"counter_{key}": float(value) for key, value in stats.items()
-            }
-            metrics.update(
-                {key: float(value) for key, value in bill.items()}
-            )
-            metrics.update(
-                {
-                    f"requests_{key}": float(value)
-                    for key, value in self.tenant_requests(tenant).items()
-                }
-            )
-            metrics.update(self.latency_summary(tenant))
-            run_ids.append(
-                store.record_run(
-                    f"billing_{tenant}",
-                    "billing",
-                    config={**base_config, "tenant": tenant},
-                    metrics=metrics,
-                )
-            )
-        return run_ids
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -247,7 +247,6 @@ THRESHOLDS = (
     "recalibrate_after_s",
     "reprogram_after_s",
     "gain_error_budget",
-    "gain_error_threshold",
     "calibration_error_threshold",
     "verify_error_budget",
 )
@@ -264,11 +263,6 @@ class TestMaintenancePolicy:
         ]
         + [
             ({"recalibrate_after_s": 1.0, "n_probes": 0}, "n_probes"),
-            ({"recalibrate_after_s": 1.0, "verify_probes": 0}, "verify_probes"),
-            (
-                {"recalibrate_after_s": 1.0, "programming_iterations": 0},
-                "programming_iterations",
-            ),
         ],
     )
     def test_validation(self, rng, kwargs, match):
@@ -299,7 +293,7 @@ class TestMaintenancePolicy:
         assert shard.stats["n_reprograms"] == 1
         assert shard.age_seconds == 0.0 and shard.staleness_seconds == 0.0
         assert shard.gain == 1.0
-        assert policy.verify_probes == policy.n_probes  # the default
+        assert action.probes == policy.n_probes  # verify reads n_probes
 
     def test_rewrite_counters_stay_separable(self, rng):
         """Serving plus maintenance counters sum to the fleet total,
@@ -338,7 +332,7 @@ class TestMaintenancePolicy:
         assert [action.shard for action in actions] == [1]
         assert policy.due(fleet.shards[0]) is None
 
-    def test_gain_error_escalates_to_reprogram(self, rng):
+    def test_calibration_error_escalates_to_reprogram(self, rng):
         matrix = rng.standard_normal((8, 10))
         fleet = ShardedOperator.from_matrix(
             matrix, n_shards=1, batch_window=2, seed=2
@@ -346,11 +340,11 @@ class TestMaintenancePolicy:
         policy = FleetMaintenance(
             fleet,
             recalibrate_after_s=1e3,
-            gain_error_threshold=0.05,
+            calibration_error_threshold=0.1,
             n_probes=8,
             seed=3,
         )
-        fleet.advance_time(1e8)  # deep drift: gain error >> 5 %
+        fleet.advance_time(1e8)  # deep drift: > 10 % left after the gain fit
         (action,) = policy.sweep()
         assert action.action == "reprogram"
         assert action.probes == 8  # the escalating fit was still paid for
@@ -365,19 +359,17 @@ class TestMaintenancePolicy:
         error = np.linalg.norm(shard.matvec(x) - matrix @ x)
         assert error / np.linalg.norm(matrix @ x) < 0.1
 
-    def test_detached_policy_is_manual(self, rng):
+    def test_manual_sweep_and_dispatch_share_one_schedule(self, rng):
         matrix = rng.standard_normal((8, 10))
         fleet = ShardedOperator.from_matrix(
             matrix, n_shards=1, batch_window=2, seed=7
         )
-        policy = FleetMaintenance(
-            fleet, recalibrate_after_s=1e3, attach=False, seed=8
-        )
-        assert fleet.maintenance is None
+        policy = FleetMaintenance(fleet, recalibrate_after_s=1e3, seed=8)
+        assert fleet.maintenance is policy
         fleet.advance_time(1e6)
-        fleet.matmat(rng.standard_normal((10, 3)))  # no automatic sweep
-        assert policy.actions == []
         assert policy.sweep()[0].action == "calibrate"
+        fleet.matmat(rng.standard_normal((10, 3)))  # nothing left due
+        assert len(policy.actions) == 1
 
     def test_sweep_is_idempotent_until_staleness_regrows(self, rng):
         matrix = rng.standard_normal((8, 10))

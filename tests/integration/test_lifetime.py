@@ -191,7 +191,7 @@ class TestPredictiveMaintenance:
         fleet = ShardedOperator.from_matrix(
             matrix, n_shards=2, batch_window=4, backend="exact"
         )
-        policy = FleetMaintenance(fleet, gain_error_budget=0.02, attach=False)
+        policy = FleetMaintenance(fleet, gain_error_budget=0.02)
         assert policy.predicted_gain_error(fleet.shards[0]) is None
         assert policy.due(fleet.shards[0]) is None
 

@@ -235,7 +235,7 @@ class TestLifecycleIdentity:
                 fleet,
                 recalibrate_after_s=50.0,
                 reprogram_after_s=500.0,
-                gain_error_threshold=0.5,
+                calibration_error_threshold=0.029,
                 seed=5,
             )
         for epoch in range(3):
@@ -249,6 +249,8 @@ class TestLifecycleIdentity:
             assert serial.shard_ages == threaded.shard_ages
             assert serial.shard_staleness == threaded.shard_staleness
         assert serial.maintenance.actions == threaded.maintenance.actions
+        actions = {action.action for action in serial.maintenance.actions}
+        assert actions == {"calibrate", "reprogram"}  # one escalated
         assert serial.maintenance.stats == threaded.maintenance.stats
         assert_fleets_identical(serial, threaded)
         threaded.shutdown()
@@ -441,7 +443,7 @@ class TestSweepSerialization:
         sweep lock + due re-check lets exactly one through."""
         shard = _SlowFakeShard()
         policy = FleetMaintenance(
-            _BareFleet([shard]), recalibrate_after_s=50.0, attach=False
+            _BareFleet([shard]), recalibrate_after_s=50.0
         )
         started = threading.Barrier(2)
         performed = []

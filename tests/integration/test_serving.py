@@ -10,21 +10,19 @@ The serving determinism contract, as the layer's consumers rely on it:
   block: coalescing and demultiplexing add no arithmetic.
 * **Counter conservation** — per-tenant counter ledgers sum exactly
   (integer equality, not approximately) to the fleet's merged counters
-  for the served traffic, so tenant bills partition the fleet's bill.
+  for the served traffic, so tenant bills partition the fleet's bill;
+  an attached maintenance policy's sweeps land in its own ledger, never
+  in a tenant's.
 * **Idle neutrality** — constructing a serving layer over a fleet, and
   serving nothing, leaves the fleet bitwise indistinguishable from a
   bare one.
-
-Plus the store integration: per-tenant ``kind="billing"`` rows land in
-the experiment database with priceable metrics.
 """
 
 import numpy as np
 import pytest
 
-from repro.crossbar import ShardedOperator
+from repro.crossbar import FleetMaintenance, ShardedOperator
 from repro.energy import CrossbarCostModel
-from repro.results import ResultsStore
 from repro.serving import (
     AdmissionController,
     FleetServer,
@@ -146,17 +144,38 @@ class TestDispatchTransparency:
 
 
 class TestCounterConservation:
-    @pytest.mark.parametrize("backend", ["exact", "crossbar"])
-    def test_tenant_ledgers_partition_fleet_counters(self, backend):
+    @pytest.mark.parametrize(
+        "backend, recalibrate_after_s",
+        [
+            pytest.param("exact", None, id="exact"),
+            pytest.param("crossbar", None, id="crossbar"),
+            pytest.param("crossbar", 0.5, id="crossbar-attached-policy"),
+        ],
+    )
+    def test_tenant_ledgers_partition_fleet_counters(
+        self, backend, recalibrate_after_s
+    ):
+        """Served plus maintenance counters equal the fleet delta, key
+        by key — also when an attached policy sweeps the aging fleet
+        inside the dispatches it serves."""
         fleet = make_fleet(backend=backend)
+        policy = None
+        if recalibrate_after_s is not None:
+            policy = FleetMaintenance(
+                fleet, recalibrate_after_s=recalibrate_after_s, seed=3
+            )
         baseline = dict(fleet.stats)  # static gauges (e.g. device counts)
         events = make_trace(fleet, n_events=50, seed=13)
         server = serve_trace(fleet, events)
         merged = server.served_counters
-        for key, value in fleet.stats.items():
-            delta = value - baseline.get(key, 0)
-            if delta:
-                assert merged.get(key, 0) == delta, key
+        upkeep = policy.stats if policy is not None else {}
+        for key in fleet.stats.keys() | baseline.keys():
+            delta = fleet.stats.get(key, 0) - baseline.get(key, 0)
+            assert merged.get(key, 0) + upkeep.get(key, 0) == delta, key
+        if policy is not None:
+            assert policy.n_calibrations > 1  # swept mid-stream
+            assert "n_calibration_probes" not in merged
+            assert merged["n_matvec"] + merged["n_rmatvec"] == len(events)
         # and the partition is exact per key, tenant by tenant
         for key in merged:
             total = sum(
@@ -210,56 +229,3 @@ class TestIdleNeutrality:
         summary = server.latency_summary()
         assert summary["n_served"] == 0.0
         assert "latency_p50_s" not in summary
-
-
-class TestBillingRows:
-    def test_record_billing_writes_one_row_per_tenant(self, tmp_path):
-        fleet = make_fleet(backend="crossbar")
-        server = serve_trace(fleet, make_trace(fleet, n_events=30))
-        with ResultsStore(tmp_path / "results.sqlite") as store:
-            run_ids = server.record_billing(store, CrossbarCostModel())
-            assert len(run_ids) == len(TENANTS)
-            rows = [
-                (row["name"], row["kind"])
-                for row in store.connection.execute(
-                    "SELECT name, kind FROM runs ORDER BY name"
-                )
-            ]
-            assert rows == [
-                (f"billing_{tenant}", "billing")
-                for tenant in sorted(TENANTS)
-            ]
-            energies = {
-                name: value
-                for name, value in store.connection.execute(
-                    "SELECT runs.name, metrics.value FROM metrics"
-                    " JOIN runs ON runs.id = metrics.run_id"
-                    " WHERE metrics.name = 'total_energy_j'"
-                )
-            }
-            assert set(energies) == {
-                f"billing_{tenant}" for tenant in TENANTS
-            }
-            assert all(value > 0.0 for value in energies.values())
-
-    def test_billing_row_carries_latency_and_request_metrics(self, tmp_path):
-        fleet = make_fleet()
-        server = serve_trace(
-            fleet, make_trace(fleet, n_events=20), slo_s=10.0
-        )
-        with ResultsStore(tmp_path / "results.sqlite") as store:
-            server.record_billing(store, CrossbarCostModel())
-            names = {
-                name
-                for (name,) in store.connection.execute(
-                    "SELECT DISTINCT name FROM metrics"
-                )
-            }
-        assert {
-            "counter_n_matvec",
-            "requests_submitted",
-            "requests_served",
-            "latency_p50_s",
-            "slo_violations",
-            "total_energy_j",
-        } <= names

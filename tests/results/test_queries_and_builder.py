@@ -56,19 +56,6 @@ class TestHistory:
         ]
         assert provider.latest_run("demo").id == last
 
-    def test_trend_frame_is_rectangular(self, store):
-        store.record_run(
-            "demo", "bench", metrics={"a": 1.0},
-            created_at="2026-01-01T00:00:00+00:00",
-        )
-        store.record_run(
-            "demo", "bench", metrics={"a": 2.0, "b": 5.0},
-            created_at="2026-02-01T00:00:00+00:00",
-        )
-        frame = DataProvider(store).trend_frame("demo", ["a", "b"])
-        assert [row["a"] for row in frame] == [1.0, 2.0]
-        assert [row["b"] for row in frame] == [None, 5.0]
-
 
 class TestRebuild:
     def test_rebuild_renders_latest_document(self, store):

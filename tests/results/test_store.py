@@ -126,13 +126,6 @@ class TestRecordRun:
         with pytest.raises(TypeError, match="not numeric"):
             store.record_run("demo", "bench", metrics={"x": "fast"})
 
-    def test_snapshot_copies_every_run(self, store, tmp_path):
-        store.record_run("demo", "bench", metrics={"x": 1.0})
-        snapshot = store.snapshot_to(tmp_path / "copy.db")
-        provider = DataProvider(snapshot)
-        assert provider.run_names() == ["demo"]
-        snapshot.close()
-
 
 class TestScalarMetrics:
     def test_extracts_top_level_numerics_only(self):
