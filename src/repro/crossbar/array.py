@@ -78,12 +78,19 @@ class CrossbarArray:
         self._stuck_mask = np.zeros(self._g_programmed.shape, dtype=bool)
         self._stuck_values = np.zeros(self._g_programmed.shape)
         self.age_seconds = 0.0
+        # Amorphous fraction of _g_programmed (PcmDevice.amorphous_fraction),
+        # built on the first drifted evaluation and kept until the
+        # programmed state changes: a drift recompute is then one exp
+        # per device (see _drifted).
+        self._fraction: np.ndarray | None = None
         # Batched reads recompute nothing per call: the mean and noise
         # power matrices are cached until the device state changes (see
         # _read_entry).  A differential entry lives in the G+ array's
         # cache; the G- array remembers its readers in _pair_readers so
-        # its own state changes drop that entry too.
+        # its own state changes drop that entry too.  Dropped entries
+        # wait in _spare_entries and are rebuilt into their own buffers.
         self._read_cache: dict[tuple, tuple] = {}
+        self._spare_entries: dict[tuple, tuple] = {}
         self._pair_readers: set[CrossbarArray] = set()
         self.n_row_reads = 0
         self.n_col_reads = 0
@@ -110,7 +117,21 @@ class CrossbarArray:
     def g_effective(self) -> np.ndarray:
         """Conductances a read sees right now: the programmed state
         decayed by the device drift law for ``age_seconds``."""
-        return self.device.drifted(self._g_programmed, self.age_seconds)
+        return self._drifted()
+
+    def _drifted(self, out: np.ndarray | None = None) -> np.ndarray:
+        """``PcmDevice.drifted`` of the programmed state at ``age_seconds``,
+        fed the cached amorphous fraction (built here on the first call
+        that drifts) and written into ``out`` when given.  Bitwise equal
+        to the uncached ``device.drifted(g, age)``."""
+        fraction = None
+        if self.age_seconds > 0.0 and self.device.drift_nu > 0.0:
+            if self._fraction is None:
+                self._fraction = self.device.amorphous_fraction(self._g_programmed)
+            fraction = self._fraction
+        return self.device.drifted(
+            self._g_programmed, self.age_seconds, fraction=fraction, out=out
+        )
 
     @property
     def conductance(self) -> np.ndarray:
@@ -124,9 +145,9 @@ class CrossbarArray:
         one's state."""
         if not self._read_cache and not self._pair_readers:
             return  # nothing cached since the last change
-        self._read_cache.clear()
-        for reader in self._pair_readers:
-            reader._read_cache.clear()
+        for array in (self, *self._pair_readers):
+            array._spare_entries.update(array._read_cache)
+            array._read_cache.clear()
         self._pair_readers.clear()
 
     @property
@@ -188,6 +209,7 @@ class CrossbarArray:
                 self._stuck_mask
             ]
         self.age_seconds = 0.0
+        self._fraction = None
         self._invalidate_read_cache()
         self.n_reprograms += 1
         self.n_program_pulses += self.programming_report.n_pulses
@@ -230,20 +252,22 @@ class CrossbarArray:
         self._g_programmed = np.where(
             self._stuck_mask, self._stuck_values, self._g_programmed
         )
+        self._fraction = None
         self._invalidate_read_cache()
         return mask
 
     def _instantaneous_conductance(self) -> np.ndarray:
         return self.device.read(self.conductance, seed=self._rng)
 
-    def _conductance_now(self, axis: int) -> np.ndarray:
+    def _conductance_now(
+        self, axis: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Mean conductance a batched read along ``axis`` sees: the
-        drifted state with IR-drop factors applied.  Always a fresh
-        array (``PcmDevice.drifted`` returns a copy), so callers may
-        overwrite it."""
-        g_now = self.device.drifted(self._g_programmed, self.age_seconds)
+        drifted state with IR-drop factors applied, written into ``out``
+        when given, else into a fresh array callers may overwrite."""
+        g_now = self._drifted(out)
         if self.wire_resistance > 0.0:
-            g_now = g_now * ir_drop_factors(g_now, self.wire_resistance, axis=axis)
+            g_now *= ir_drop_factors(g_now, self.wire_resistance, axis=axis)
         return g_now
 
     def _read_entry(self, axis: int, minus: CrossbarArray | None) -> tuple:
@@ -256,7 +280,9 @@ class CrossbarArray:
         (``None`` otherwise).  Without IR drop the matrices are
         axis-independent, so both directions share one entry.  Entries
         live until either array's :meth:`_invalidate_read_cache` (drift,
-        reprogramming, fault injection); cached and uncached reads are
+        reprogramming, fault injection), which moves them to
+        ``_spare_entries``; the rebuild writes into a spare entry's
+        arrays instead of allocating.  Cached and uncached reads are
         bitwise identical.
         """
         shared = self.wire_resistance == 0.0 and (
@@ -267,15 +293,19 @@ class CrossbarArray:
         if entry is not None:
             return entry
         noisy = self.device.read_noise_sigma != 0.0
-        g_now = self._conductance_now(axis)
+        mean_out, power_out = self._spare_entries.pop(key, (None, None))
         if minus is None:
-            entry = (g_now, g_now * g_now if noisy else None)
+            g_now = self._conductance_now(axis, out=mean_out)
+            power = np.multiply(g_now, g_now, out=power_out) if noisy else None
+            entry = (g_now, power)
         else:
+            # G+ lands in the power buffer when there is one (squared in
+            # place below), else straight in the mean buffer; G- is scratch
+            g_now = self._conductance_now(axis, out=power_out if noisy else mean_out)
             g_minus = minus._conductance_now(axis)
-            mean = g_now - g_minus
+            mean = np.subtract(g_now, g_minus, out=mean_out if noisy else g_now)
             power = None
             if noisy:
-                # both operands are fresh arrays owned by this entry
                 power = np.square(g_now, out=g_now)
                 power += np.square(g_minus, out=g_minus)
             entry = (mean, power)

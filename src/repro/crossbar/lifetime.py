@@ -108,6 +108,10 @@ class DriftPredictor:
         self.device = device
         self._g_pos = g_pos
         self._g_neg = g_neg
+        # the forecast drifts these fixed states to many ages: their
+        # amorphous fractions are computed once, here
+        self._fraction_pos = device.amorphous_fraction(g_pos)
+        self._fraction_neg = device.amorphous_fraction(g_neg)
         self._diff = g_pos - g_neg
         self._norm = float(self._diff @ self._diff)
         if self._norm == 0.0:
@@ -142,9 +146,13 @@ class DriftPredictor:
         amorphous-dominated states relax.
         """
         age_seconds = check_elapsed("age_seconds", age_seconds)
-        drifted = self._g_pos * self.device.drift_factors(
-            self._g_pos, age_seconds
-        ) - self._g_neg * self.device.drift_factors(self._g_neg, age_seconds)
+        factors_pos = self.device.drift_factors(
+            self._g_pos, age_seconds, fraction=self._fraction_pos
+        )
+        factors_neg = self.device.drift_factors(
+            self._g_neg, age_seconds, fraction=self._fraction_neg
+        )
+        drifted = self._g_pos * factors_pos - self._g_neg * factors_neg
         return float(drifted @ self._diff) / self._norm
 
     def gain_error(self, age_seconds: float, calibrated_at_s: float = 0.0) -> float:

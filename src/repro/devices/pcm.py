@@ -14,6 +14,8 @@ matter for those applications:
   evaluates this same power law in log space,
   ``exp(-nu * log(t / t0))``: one scalar ``log`` per call and one
   elementwise ``exp`` per device instead of a per-device ``pow``.
+  The exponent's state-dependent part (:meth:`PcmDevice.amorphous_fraction`)
+  can be computed once per programmed state and passed back in.
 
 All methods are vectorized over numpy arrays of device states.
 """
@@ -113,7 +115,29 @@ class PcmDevice:
         error = rng.normal(0.0, sigma, size=target.shape)
         return self.clip(target + error)
 
-    def drift_factors(self, conductance: np.ndarray, elapsed: float) -> np.ndarray:
+    def amorphous_fraction(self, conductance: np.ndarray) -> np.ndarray:
+        """Share of each state's drift exponent: ``nu(g) / drift_nu``.
+
+        The clipped amorphous fraction ``clip(1 - (g - g_min) / range, 0, 1)``
+        — 1 at ``g_min`` (fully amorphous, full exponent), 0 at ``g_max``.
+        It depends only on the programmed state, so callers that drift
+        one state to many ages compute it once and pass it back as the
+        ``fraction=`` argument of :meth:`drift_factors` / :meth:`drifted`.
+        Always returns a fresh array.
+        """
+        fraction = np.subtract(np.asarray(conductance, dtype=float), self.g_min)
+        fraction /= self.dynamic_range
+        np.subtract(1.0, fraction, out=fraction)
+        return np.clip(fraction, 0.0, 1.0, out=fraction)
+
+    def drift_factors(
+        self,
+        conductance: np.ndarray,
+        elapsed: float,
+        *,
+        fraction: np.ndarray | None = None,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Multiplicative decay each state suffers after ``elapsed`` seconds.
 
         The per-device factor ``((t0 + t) / t0) ** (-nu(g))`` that
@@ -128,41 +152,64 @@ class PcmDevice:
         is one Python scalar, so each device costs one ``exp`` instead
         of a ``pow`` with its own exponent (within ~1 ulp of the power
         form).  ``g_max`` is an exact fixed point (``exp(-0.0) == 1``)
-        and every factor lies in ``(0, 1]``.  Always returns a fresh
-        array.
+        and every factor lies in ``(0, 1]``.
+
+        ``fraction`` is :meth:`amorphous_fraction` of ``conductance``,
+        precomputed by a caller that drifts one state repeatedly; the
+        result is bitwise the same as without it.  The factors are
+        written into ``out`` when given (same shape as ``conductance``),
+        else into a fresh array.
         """
         conductance = np.asarray(conductance, dtype=float)
         if not np.isfinite(elapsed) or elapsed < 0:
             raise ValueError("elapsed time must be finite and non-negative")
+        for name, array in (("fraction", fraction), ("out", out)):
+            if array is not None and array.shape != conductance.shape:
+                raise ValueError(
+                    f"{name} has shape {array.shape}, expected {conductance.shape}"
+                )
         if self.drift_nu == 0.0 or elapsed == 0.0:
-            return np.ones_like(conductance)
+            if out is None:
+                return np.ones_like(conductance)
+            out.fill(1.0)
+            return out
         log_time_factor = math.log((self.drift_t0 + elapsed) / self.drift_t0)
-        # in-place ufuncs on one fresh buffer: amorphous fraction of each
-        # state, clipped to [0, 1], times -drift_nu * log(time factor)
-        factors = np.empty_like(conductance)
-        np.subtract(conductance, self.g_min, out=factors)
-        factors /= self.dynamic_range
-        np.subtract(1.0, factors, out=factors)
-        np.clip(factors, 0.0, 1.0, out=factors)
-        factors *= -self.drift_nu * log_time_factor
+        if fraction is None:
+            fraction = self.amorphous_fraction(conductance)
+            if out is None:
+                out = fraction  # fresh: scale it in place
+        factors = np.multiply(fraction, -self.drift_nu * log_time_factor, out=out)
         return np.exp(factors, out=factors)
 
-    def drifted(self, conductance: np.ndarray, elapsed: float) -> np.ndarray:
+    def drifted(
+        self,
+        conductance: np.ndarray,
+        elapsed: float,
+        *,
+        fraction: np.ndarray | None = None,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Conductance after ``elapsed`` seconds of structural drift.
 
         States near ``g_min`` are amorphous-dominated and drift with the
         full exponent ``drift_nu``; crystalline (high-g) states barely
         drift.  The exponent is interpolated linearly in between.  The
-        result is a fresh array (the :meth:`drift_factors` buffer scaled
-        in place), so callers may overwrite it.
+        result is the :meth:`drift_factors` buffer scaled in place —
+        ``out`` when given, else a fresh array callers may overwrite.
+        ``fraction`` is passed through to :meth:`drift_factors`.
         """
         conductance = np.asarray(conductance, dtype=float)
         if self.drift_nu == 0.0 or elapsed == 0.0:
             # keep the validation of the factor path for degenerate cases
             if not np.isfinite(elapsed) or elapsed < 0:
                 raise ValueError("elapsed time must be finite and non-negative")
-            return conductance.copy()
-        factors = self.drift_factors(conductance, elapsed)
+            if out is None:
+                return conductance.copy()
+            np.copyto(out, conductance)
+            return out
+        factors = self.drift_factors(
+            conductance, elapsed, fraction=fraction, out=out
+        )
         factors *= conductance
         return factors
 
@@ -188,9 +235,7 @@ class PcmDevice:
         if np.any(pulses < 0):
             raise ValueError("pulse counts must be non-negative")
         rng = as_rng(seed)
-        headroom = np.clip(
-            1.0 - (conductance - self.g_min) / self.dynamic_range, 0.0, 1.0
-        )
+        headroom = self.amorphous_fraction(conductance)
         increment = pulses * self.set_step * headroom
         if self.set_noise_sigma > 0.0:
             noise = rng.normal(0.0, self.set_noise_sigma, size=conductance.shape)

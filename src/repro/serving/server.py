@@ -300,7 +300,9 @@ class FleetServer:
         after = self.fleet.stats
         policy_after = policy.stats if policy is not None else {}
         delta = {}
-        for key in after.keys() | before.keys():
+        # sorted, not set order: ledger key order must not depend on
+        # PYTHONHASHSEED
+        for key in sorted(after.keys() | before.keys()):
             value = int(after.get(key, 0)) - int(before.get(key, 0))
             value -= policy_after.get(key, 0) - policy_before.get(key, 0)
             if value:

@@ -170,9 +170,9 @@ class TestReadCache:
         calls = []
         drifted = PcmDevice.drifted
 
-        def counting(self, conductance, elapsed):
+        def counting(self, conductance, elapsed, *args, **kwargs):
             calls.append(elapsed)
-            return drifted(self, conductance, elapsed)
+            return drifted(self, conductance, elapsed, *args, **kwargs)
 
         monkeypatch.setattr(PcmDevice, "drifted", counting)
         for _ in range(3):

@@ -8,9 +8,15 @@ in ``tests/integration/test_serving.py``.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.crossbar import ShardedOperator
 from repro.serving import (
@@ -494,3 +500,42 @@ class TestReplay:
         ]
         server.replay(events)
         assert server.block_log[0].dispatched_at_s == pytest.approx(1.0)
+
+
+# A small crossbar-backed serve: each dispatch moves six counters, so a
+# set-ordered delta shows up in the ledger's key order.
+_SERVE_SCRIPT = """
+import numpy as np
+from repro.crossbar import ShardedOperator
+from repro.serving import FleetServer, VirtualClock
+
+matrix = np.random.default_rng(0).standard_normal((12, 20))
+fleet = ShardedOperator.from_matrix(matrix, n_shards=2, batch_window=4, seed=0)
+server = FleetServer(fleet, VirtualClock(), coalesce_budget_s=1.0)
+rng = np.random.default_rng(1)
+for i in range(6):
+    kind = "matvec" if i % 2 else "rmatvec"
+    server.submit(rng.standard_normal(20 if i % 2 else 12), tenant=f"t{i % 3}", kind=kind)
+server.flush()
+print(list(server.served_counters))
+print([list(server.tenant_stats(t)) for t in server.tenants])
+"""
+
+
+class TestLedgerKeyOrder:
+    def test_key_order_does_not_depend_on_the_hash_seed(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            outputs.append(
+                subprocess.run(
+                    [sys.executable, "-c", _SERVE_SCRIPT],
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                ).stdout
+            )
+        assert "adc_conversions" in outputs[0]
+        assert outputs[0] == outputs[1]
