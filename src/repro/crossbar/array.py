@@ -270,7 +270,9 @@ class CrossbarArray:
             g_now *= ir_drop_factors(g_now, self.wire_resistance, axis=axis)
         return g_now
 
-    def _read_entry(self, axis: int, minus: CrossbarArray | None) -> tuple:
+    def _read_entry(
+        self, axis: int, minus: CrossbarArray | None, dtype: np.dtype
+    ) -> tuple:
         """Cached ``(mean, power)`` matrices for batched reads along ``axis``.
 
         For a single array ``mean`` is the conductance ``G`` a read sees
@@ -284,30 +286,54 @@ class CrossbarArray:
         ``_spare_entries``; the rebuild writes into a spare entry's
         arrays instead of allocating.  Cached and uncached reads are
         bitwise identical.
+
+        The entry is held in ``dtype``, the dtype of the voltage block
+        reading it; an entry of another dtype is rebuilt, never served.
+        A float32 entry is the float64 entry rounded once: the drift and
+        IR-drop math runs in float64 scratch and each matrix is cast on
+        its last operation into the entry's own buffer.
         """
         shared = self.wire_resistance == 0.0 and (
             minus is None or minus.wire_resistance == 0.0
         )
         key = (-1 if shared else axis, minus)
         entry = self._read_cache.get(key)
-        if entry is not None:
+        if entry is not None and entry[0].dtype == dtype:
             return entry
         noisy = self.device.read_noise_sigma != 0.0
         mean_out, power_out = self._spare_entries.pop(key, (None, None))
+        if mean_out is not None and mean_out.dtype != dtype:
+            mean_out = power_out = None
+        narrow = dtype != np.float64
+        if narrow and mean_out is None:
+            mean_out = np.empty(self.shape, dtype)
+            power_out = np.empty(self.shape, dtype) if noisy else None
         if minus is None:
-            g_now = self._conductance_now(axis, out=mean_out)
+            g_now = self._conductance_now(axis, out=None if narrow else mean_out)
             power = np.multiply(g_now, g_now, out=power_out) if noisy else None
+            if narrow:
+                np.copyto(mean_out, g_now)
+                g_now = mean_out
             entry = (g_now, power)
         else:
-            # G+ lands in the power buffer when there is one (squared in
-            # place below), else straight in the mean buffer; G- is scratch
-            g_now = self._conductance_now(axis, out=power_out if noisy else mean_out)
+            # Wide: G+ lands in the power buffer when there is one
+            # (squared in place below), else straight in the mean
+            # buffer.  Narrow: G+ is float64 scratch.  G- is scratch.
+            g_now = self._conductance_now(
+                axis, out=None if narrow else power_out if noisy else mean_out
+            )
             g_minus = minus._conductance_now(axis)
-            mean = np.subtract(g_now, g_minus, out=mean_out if noisy else g_now)
+            mean = np.subtract(
+                g_now, g_minus, out=mean_out if noisy or narrow else g_now
+            )
             power = None
             if noisy:
-                power = np.square(g_now, out=g_now)
-                power += np.square(g_minus, out=g_minus)
+                np.square(g_now, out=g_now)
+                power = np.add(
+                    g_now,
+                    np.square(g_minus, out=g_minus),
+                    out=power_out if narrow else g_now,
+                )
             entry = (mean, power)
             minus._pair_readers.add(self)
         self._read_cache[key] = entry
@@ -336,6 +362,10 @@ class CrossbarArray:
         draw instead of two of each.  A single-array read is the same
         code with ``(G, G**2)``.
 
+        A float32 block (from an operator whose DAC and ADC both
+        quantize) runs both GEMMs on a float32 entry; the normal draw
+        and the returned currents stay float64.
+
         Two first-order approximations against the per-vector path: the
         clip of negative conductances is ignored (~1/sigma standard
         deviations away — negligible at realistic noise levels), and
@@ -343,18 +373,21 @@ class CrossbarArray:
         on the mean (noise-free) conductance rather than each read's
         noisy realization, so noise does not perturb the drop factors.
         """
-        mean, power = self._read_entry(axis, minus)
+        mean, power = self._read_entry(axis, minus, voltages.dtype)
         currents = mean.T @ voltages if axis == 0 else mean @ voltages
         sigma = self.device.read_noise_sigma
         if sigma == 0.0:
-            return currents
+            return currents.astype(float, copy=False)
         v_sq = voltages * voltages
         std = power.T @ v_sq if axis == 0 else power @ v_sq
         np.sqrt(std, out=std)
         std *= sigma
-        std *= self._rng.standard_normal(std.shape)
-        currents += std
-        return currents
+        # The float64 draw becomes the output: a float32 read's GEMM
+        # results are upcast inside these two in-place operations.
+        noise = self._rng.standard_normal(std.shape)
+        noise *= std
+        noise += currents
+        return noise
 
     def _vector_currents(self, voltages: np.ndarray, axis: int) -> np.ndarray:
         """One per-vector read with a fresh per-device noise draw."""
@@ -366,8 +399,14 @@ class CrossbarArray:
     def _read(
         self, voltages: np.ndarray, axis: int, minus: CrossbarArray | None
     ) -> np.ndarray:
-        """Shared body of :meth:`mvm` (``axis=0``) and :meth:`mvm_t`."""
-        voltages = np.asarray(voltages, dtype=float)
+        """Shared body of :meth:`mvm` (``axis=0``) and :meth:`mvm_t`.
+
+        A 2-D float32 block is read in float32 (see
+        :meth:`_batched_currents`); any other input is read in float64.
+        """
+        voltages = np.asarray(voltages)
+        if voltages.ndim != 2 or voltages.dtype != np.float32:
+            voltages = np.asarray(voltages, dtype=float)
         lines = self.shape[axis]
         if minus is not None:
             if minus.shape != self.shape:

@@ -40,6 +40,16 @@ __all__ = ["CrossbarOperator", "DenseOperator"]
 _FULL_SCALE_SIGMAS = 4.0
 
 
+def _checked_input(values: np.ndarray, rows: int, ndim: int, name: str) -> np.ndarray:
+    """A product's input as float64, after the shape and finiteness
+    checks every product of both operators runs before billing."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != ndim or values.shape[0] != rows:
+        expected = f"({rows},)" if ndim == 1 else f"({rows}, B)"
+        raise ValueError(f"{name} must have shape {expected}, got {values.shape}")
+    return check_finite(name, values)
+
+
 class DenseOperator:
     """Exact numpy implementation of the operator interface.
 
@@ -62,32 +72,30 @@ class DenseOperator:
         return self.matrix.shape
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        x = _checked_input(x, self.matrix.shape[1], 1, "x")
         self.n_matvec += 1
-        return self.matrix @ np.asarray(x, dtype=float)
+        return self.matrix @ x
 
     def rmatvec(self, z: np.ndarray) -> np.ndarray:
+        z = _checked_input(z, self.matrix.shape[0], 1, "z")
         self.n_rmatvec += 1
-        return self.matrix.T @ np.asarray(z, dtype=float)
-
-    def _check_block(self, block: np.ndarray, rows: int, name: str) -> np.ndarray:
-        block = np.asarray(block, dtype=float)
-        if block.ndim != 2 or block.shape[0] != rows:
-            raise ValueError(f"{name} must have shape ({rows}, B), got {block.shape}")
-        return block
+        return self.matrix.T @ z
 
     def matmat(self, x_block: np.ndarray) -> np.ndarray:
         """Exact ``A @ X`` for a block of input vectors (one per column).
 
         An empty batch (``B = 0``) returns an empty block and counts
-        no reads, matching the crossbar operator's accounting.
+        no reads, matching the crossbar operator's accounting.  A wrong
+        shape or a NaN or inf entry raises ``ValueError`` before any
+        counter moves (every product of this class does so).
         """
-        x_block = self._check_block(x_block, self.matrix.shape[1], "X")
+        x_block = _checked_input(x_block, self.matrix.shape[1], 2, "X")
         self.n_matvec += x_block.shape[1]
         return self.matrix @ x_block
 
     def rmatmat(self, z_block: np.ndarray) -> np.ndarray:
         """Exact ``A.T @ Z`` for a block of input vectors."""
-        z_block = self._check_block(z_block, self.matrix.shape[0], "Z")
+        z_block = _checked_input(z_block, self.matrix.shape[0], 2, "Z")
         self.n_rmatvec += z_block.shape[1]
         return self.matrix.T @ z_block
 
@@ -473,11 +481,8 @@ class CrossbarOperator:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Analog evaluation of ``A @ x`` (use :meth:`matmat` for batches)."""
-        x = np.asarray(x, dtype=float)
         m, n = self.shape
-        if x.shape != (n,):
-            raise ValueError(f"x must have shape ({n},), got {x.shape}")
-        check_finite("x", x)
+        x = _checked_input(x, n, 1, "x")
         self.n_matvec += 1
         normalized, peak = self._normalize(x)
         if peak == 0.0:
@@ -494,11 +499,8 @@ class CrossbarOperator:
 
     def rmatvec(self, z: np.ndarray) -> np.ndarray:
         """Analog evaluation of ``A.T @ z`` (transpose read)."""
-        z = np.asarray(z, dtype=float)
         m, n = self.shape
-        if z.shape != (m,):
-            raise ValueError(f"z must have shape ({m},), got {z.shape}")
-        check_finite("z", z)
+        z = _checked_input(z, m, 1, "z")
         self.n_rmatvec += 1
         normalized, peak = self._normalize(z)
         if peak == 0.0:
@@ -526,11 +528,8 @@ class CrossbarOperator:
         NaN or inf entry anywhere in the block raises ``ValueError``
         before any counter moves (every product of this class does so).
         """
-        x_block = np.asarray(x_block, dtype=float)
         m, n = self.shape
-        if x_block.ndim != 2 or x_block.shape[0] != n:
-            raise ValueError(f"X must have shape ({n}, B), got {x_block.shape}")
-        check_finite("X", x_block)
+        x_block = _checked_input(x_block, n, 2, "X")
         self.n_matvec += x_block.shape[1]
 
         def tile_currents(voltages):
@@ -549,11 +548,8 @@ class CrossbarOperator:
         ``z_block`` has shape ``(m, B)``; the result has shape
         ``(n, B)``.  Semantics and accounting mirror :meth:`matmat`.
         """
-        z_block = np.asarray(z_block, dtype=float)
         m, n = self.shape
-        if z_block.ndim != 2 or z_block.shape[0] != m:
-            raise ValueError(f"Z must have shape ({m}, B), got {z_block.shape}")
-        check_finite("Z", z_block)
+        z_block = _checked_input(z_block, m, 2, "Z")
         self.n_rmatvec += z_block.shape[1]
 
         def tile_currents(voltages):
@@ -591,6 +587,11 @@ class CrossbarOperator:
         # the gather path bit for bit.
         all_live = live.size == batch
         voltages = self.dac.to_voltages(normalized if all_live else normalized[:, live])
+        if self.dac.bits is not None and adc.bits is not None:
+            # Both converters quantize, so the tiles read in float32: a
+            # float32 GEMM's error (under 1e-6 of full scale) sits far below
+            # one ADC step.  Ideal converters keep the float64 read.
+            voltages = voltages.astype(np.float32)
         result = np.zeros((out_dim, live.size))
         for (o0, o1), currents in tile_currents(voltages):
             result[o0:o1] += adc.quantize(currents)

@@ -44,6 +44,19 @@ class TestDenseOperator:
         with pytest.raises(ValueError):
             op.rmatmat(np.zeros((n, 2)))
 
+    def test_wrong_shape_raises_before_billing(self):
+        op = DenseOperator(np.ones((3, 4)))
+        for product, value in (
+            (op.matvec, np.ones(5)),
+            (op.matvec, np.ones((4, 2))),  # 2-D belongs to matmat
+            (op.rmatvec, np.ones(4)),
+            (op.matmat, np.ones((3, 2))),
+            (op.rmatmat, np.ones((4, 2))),
+        ):
+            with pytest.raises(ValueError, match="shape"):
+                product(value)
+        assert op.stats == {"n_matvec": 0, "n_rmatvec": 0}
+
     def test_empty_batch_returns_empty_and_counts_nothing(self, small_matrix):
         """B = 0 is a legal degenerate fleet: empty result, zero reads."""
         op = DenseOperator(small_matrix)

@@ -10,7 +10,7 @@ load, queue or ledger moves.
 import numpy as np
 import pytest
 
-from repro.crossbar import CrossbarOperator, ShardedOperator
+from repro.crossbar import CrossbarOperator, DenseOperator, ShardedOperator
 from repro.serving import FleetServer, VirtualClock
 
 BAD_VALUES = [np.nan, np.inf, -np.inf]
@@ -47,6 +47,20 @@ class TestCrossbarOperator:
         with pytest.raises(ValueError, match="finite"):
             operator.rmatmat(poisoned((12, 5), value, rng, index=7))
         assert operator.stats == before
+
+
+@pytest.mark.parametrize("value", BAD_VALUES)
+def test_dense_operator_rejects_without_billing(matrix, rng, value):
+    operator = DenseOperator(matrix)
+    with pytest.raises(ValueError, match="finite"):
+        operator.matvec(poisoned(16, value, rng, index=3))
+    with pytest.raises(ValueError, match="finite"):
+        operator.rmatvec(poisoned(12, value, rng, index=5))
+    with pytest.raises(ValueError, match="finite"):
+        operator.matmat(poisoned((16, 5), value, rng, index=16 * 5 - 1))
+    with pytest.raises(ValueError, match="finite"):
+        operator.rmatmat(poisoned((12, 5), value, rng, index=7))
+    assert operator.stats == {"n_matvec": 0, "n_rmatvec": 0}
 
 
 @pytest.mark.parametrize("value", BAD_VALUES)
